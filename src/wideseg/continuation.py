@@ -61,11 +61,8 @@ def hard_segregation(values: np.ndarray, tie_tol: float = 0.1) -> np.ndarray:
 def weighted_l2_distance(a: np.ndarray, b: np.ndarray,
                          grid: SpaceTimeGrid) -> float:
     """L2 distance in the e^{-t}-weighted space-time measure."""
-    c = grid.node_time_weights
-    sw = grid.space_weights
-    m = c.reshape((grid.nt,) + (1,) * sw.ndim) * sw
     d = a - b
-    return float(np.sqrt(np.sum(m * np.sum(d * d, axis=0))))
+    return float(np.sqrt(np.sum(grid.node_weights * np.sum(d * d, axis=0))))
 
 
 @dataclass

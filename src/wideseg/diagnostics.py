@@ -288,16 +288,7 @@ def check_uniform_windows(vals: np.ndarray, taus: np.ndarray,
     (1/T) int_{tau0}^{tau0+T} int { |grad v|^2 + beta <v^2, A v^2> }.
     """
     sw = grid.space_weights
-    grads = spatial_gradients(vals, grid)
-    if grid.dim == 1:
-        D = np.sum(grads[0] ** 2, axis=(0, 2)) * grid.dx
-    else:
-        wy = grid.space_weights[0, :] / grid.dx
-        wx = grid.space_weights[:, 0] / grid.dy
-        D = (
-            np.einsum("kjpq,q->j", grads[0] ** 2, wy) * grid.dx
-            + np.einsum("kjpq,p->j", grads[1] ** 2, wx) * grid.dy
-        )
+    D = grid.dirichlet_form(vals).sum(axis=0)
     P = np.tensordot(penalty_density(vals, spec.A), sw, axes=sw.ndim)
     q = D + beta * P    # (n_tau,)
 

@@ -11,8 +11,8 @@ the potential slice energy
     eps * ( |grad u|^2 - 2 F(u) + (beta/2) <u^2, A u^2> )
 
 at the two bounding time nodes.  Spatial quadrature is trapezoidal at nodes
-for the pointwise terms and cell-midpoint for the gradient term, so the
-gradient of the discrete functional is available in closed form.
+for the pointwise terms; the gradient term is sum_e W_e (G u)_e^2 with the
+grid's ``dirichlet_operator`` (G, W), so its gradient is 2 G^T (W G u).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import SpaceTimeGrid, StateField, spatial_gradients
+from .grid import SpaceTimeGrid, StateField
 from .model import BoundaryData, SystemSpec
 from . import grid as gridmod
 
@@ -53,29 +53,12 @@ def _time_expand(arr: np.ndarray, n_space_axes: int) -> np.ndarray:
     return arr.reshape(arr.shape + (1,) * n_space_axes)
 
 
-def _dirichlet_pairing(ga, gb, grid: SpaceTimeGrid) -> np.ndarray:
-    """Cell-midpoint quadrature of ga . gb per time slice, shape (n,).
-
-    ga and gb are per-axis cell gradients of (k, n, *space) fields, as
-    returned by ``spatial_gradients``; species are summed.
-    """
-    if grid.dim == 1:
-        return np.sum(ga[0] * gb[0], axis=(0, 2)) * grid.dx
-    wy = grid.space_weights[0, :] / grid.dx   # trapezoid weights along y
-    wx = grid.space_weights[:, 0] / grid.dy   # trapezoid weights along x
-    return (
-        np.einsum("kjpq,q->j", ga[0] * gb[0], wy) * grid.dx
-        + np.einsum("kjpq,p->j", ga[1] * gb[1], wx) * grid.dy
-    )
-
-
 def _slice_terms(values, grid: SpaceTimeGrid, spec: SystemSpec, beta: float):
     """Dirichlet, reaction and penalty integrals per time slice.
 
     values: (k, nt, *space).  Returns (D, F, P), each of shape (nt,).
     """
-    grads = spatial_gradients(values, grid)
-    D = _dirichlet_pairing(grads, grads, grid)
+    D = grid.dirichlet_form(values).sum(axis=0)
     sw = grid.space_weights
     Fnod = spec.F_sum(values)                     # (nt, *space)
     F = np.tensordot(Fnod, sw, axes=sw.ndim)
@@ -134,8 +117,7 @@ def slice_potential_change(u: np.ndarray, d: np.ndarray, grid: SpaceTimeGrid,
     unchanged part of u.
     """
     p = 2.0 * u + d
-    D = _dirichlet_pairing(spatial_gradients(p, grid),
-                           spatial_gradients(d, grid), grid)
+    D = grid.dirichlet_form(p, d).sum(axis=0)
     sw = grid.space_weights
     F = np.tensordot(spec.F_sum_change(u, d), sw, axes=sw.ndim)
     if beta != 0.0:
@@ -177,23 +159,11 @@ def potential_gradient(u: np.ndarray, g: SpaceTimeGrid, spec: SystemSpec,
     same routine serves space-time slices and purely spatial fields.
     """
     sw = g.space_weights
-    grads = spatial_gradients(u, g)
-    gpot = np.zeros_like(u)
-    if g.dim == 1:
-        gx2 = 2.0 * grads[0]          # d(D)/du for D = sum (diff/dx)^2 dx
-        gpot[..., :-1] -= gx2
-        gpot[..., 1:] += gx2
-    else:
-        wy = g.space_weights[0, :] / g.dx
-        wx = g.space_weights[:, 0] / g.dy
-        termx = 2.0 * grads[0] * wy
-        gpot[..., :-1, :] -= termx
-        gpot[..., 1:, :] += termx
-        termy = 2.0 * grads[1] * wx[:, None]
-        gpot[..., :, :-1] -= termy
-        gpot[..., :, 1:] += termy
-
-    gpot += sw * (-2.0 * spec.f_all(u))
+    _, W = g.dirichlet_operator
+    gu = g.gradient(u)
+    gu *= 2.0 * W
+    gpot = sw * (-2.0 * spec.f_all(u))
+    gpot += g.gradient_adjoint(gu)
     if beta != 0.0:
         Au2 = np.einsum("ij,j...->i...", spec.A, u * u)
         gpot += sw * (2.0 * beta * u * Au2)

@@ -10,8 +10,10 @@ ghost values; nx still counts interior nodes and dx = Lx/(nx+1).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property, reduce
 
 import numpy as np
+import scipy.sparse as sp
 
 from .model import BoundaryData, SystemSpec
 
@@ -64,28 +66,24 @@ class SpaceTimeGrid:
         c[-1] = 0.5 * w[-1]
         self.node_time_weights = c
 
-        wx = np.full(self.nx + 2, self.dx)
-        wx[0] = wx[-1] = 0.5 * self.dx
-        if self.dim == 1:
-            self.space_weights = wx
-            bmask = np.zeros(self.nx + 2, dtype=bool)
-            bmask[0] = bmask[-1] = True
-            self.boundary_mask = bmask
-        else:
+        if self.dim == 2:
             if self.ny < 3:
                 raise ValueError("ny must be >= 3 in 2-D")
             self.dy = self.Ly / (self.ny + 1)
             self.y = np.linspace(0.0, self.Ly, self.ny + 2)
-            wy = np.full(self.ny + 2, self.dy)
-            wy[0] = wy[-1] = 0.5 * self.dy
-            self.space_weights = np.outer(wx, wy)
-            bmask = np.zeros((self.nx + 2, self.ny + 2), dtype=bool)
-            bmask[0, :] = bmask[-1, :] = True
-            bmask[:, 0] = bmask[:, -1] = True
-            self.boundary_mask = bmask
+        self.space_weights = reduce(np.multiply.outer, [
+            _trapezoid_weights(n, h) for n, h in self.axes
+        ])
+        self.boundary_mask = np.ones(self.space_shape, dtype=bool)
+        self.boundary_mask[(slice(1, -1),) * self.dim] = False
 
         self.tail_mass = float(np.exp(-self.T_r))
         self.tail_ok = self.tail_mass <= self.tail_tol
+
+    @property
+    def axes(self) -> list:
+        """(node count, spacing) of each spatial axis."""
+        return [(self.nx + 2, self.dx), (self.ny + 2, self.dy)][:self.dim]
 
     @property
     def space_shape(self) -> tuple:
@@ -94,6 +92,48 @@ class SpaceTimeGrid:
     @property
     def volume(self) -> float:
         return self.Lx if self.dim == 1 else self.Lx * self.Ly
+
+    @cached_property
+    def node_weights(self) -> np.ndarray:
+        """Node time weight x spatial weight, shape (nt, *space); read-only."""
+        m = np.multiply.outer(self.node_time_weights, self.space_weights)
+        m.flags.writeable = False
+        return m
+
+    @cached_property
+    def dirichlet_operator(self) -> tuple:
+        """(G, W) of the functional's Dirichlet form sum_e W_e (G u)_e^2."""
+        G, W = cell_gradient(self)
+        if self.dim == 2:
+            # known defect, kept so that results stay comparable: the 2-D
+            # form took its cross-axis weights from the boundary row of the
+            # trapezoid weights, so it is half of int |grad u|^2 (ROADMAP 6)
+            W = 0.5 * W
+        return G, W
+
+    def gradient(self, values: np.ndarray) -> np.ndarray:
+        """G u on the trailing axes: (*lead, *space) -> (*lead, n_edges)."""
+        G, _ = self.dirichlet_operator
+        X = values.reshape(-1, G.shape[1]).T
+        return (G @ X).T.reshape(values.shape[:values.ndim - self.dim] + (-1,))
+
+    def dirichlet_form(self, a: np.ndarray, b: np.ndarray | None = None):
+        """sum_e W_e (G a)_e (G b)_e over the trailing spatial axes, with
+        b = a by default: shape (*lead, *space) -> lead."""
+        _, W = self.dirichlet_operator
+        ga = self.gradient(a)
+        ga *= ga if b is None else self.gradient(b)
+        return ga @ W
+
+    @cached_property
+    def _gradient_T(self):
+        return self.dirichlet_operator[0].T.tocsr()
+
+    def gradient_adjoint(self, flux: np.ndarray) -> np.ndarray:
+        """G^T over the last axis: (*lead, n_edges) -> (*lead, *space)."""
+        GT = self._gradient_T
+        Y = flux.reshape(-1, GT.shape[1])
+        return (GT @ Y.T).T.reshape(flux.shape[:-1] + self.space_shape)
 
     def x_field(self) -> np.ndarray:
         """x-coordinate at every spatial node, in the spatial shape."""
@@ -144,22 +184,41 @@ def discrete_time_derivative(field: StateField) -> np.ndarray:
     return (u[:, 1:] - u[:, :-1]) / field.grid.dt
 
 
-def discrete_gradient(field: StateField, j: int) -> list[np.ndarray]:
-    """Per-axis forward differences on spatial cells for time slice j."""
-    return spatial_gradients(field.values[:, j], field.grid)
-
-
 def spatial_gradients(values: np.ndarray, grid: SpaceTimeGrid) -> list[np.ndarray]:
     """Cell gradients of nodal values along each spatial axis.
 
     values may carry arbitrary leading axes; differences act on the
     trailing spatial axes.
     """
-    if grid.dim == 1:
-        return [np.diff(values, axis=-1) / grid.dx]
-    gx = np.diff(values, axis=-2) / grid.dx
-    gy = np.diff(values, axis=-1) / grid.dy
-    return [gx, gy]
+    return [np.diff(values, axis=a - grid.dim) / h
+            for a, (_, h) in enumerate(grid.axes)]
+
+
+def _trapezoid_weights(n: int, h: float) -> np.ndarray:
+    w = np.full(n, h)
+    w[0] = w[-1] = 0.5 * h
+    return w
+
+
+def cell_gradient(grid: SpaceTimeGrid) -> tuple:
+    """Sparse cell-gradient operator G on the C-ordered spatial nodes and
+    the true quadrature weight W of each of its rows (edges).
+
+    G stacks the per-axis forward differences: D_x in 1-D, kron(D_x, I)
+    and kron(I, D_y) in 2-D.  An edge's weight is its length times the
+    trapezoid weight across the other axis, so G^T diag(W) G is the lumped
+    stiffness matrix kron(K_x, M_y) + kron(M_x, K_y).
+    """
+    blocks, weights = [], []
+    for a, (n, h) in enumerate(grid.axes):
+        ops = [sp.eye_array(m) for m, _ in grid.axes]
+        ws = [_trapezoid_weights(m, hm) for m, hm in grid.axes]
+        ops[a] = sp.diags_array([-1.0 / h, 1.0 / h], offsets=[0, 1],
+                                shape=(n - 1, n))
+        ws[a] = np.full(n - 1, h)
+        blocks.append(reduce(sp.kron, ops))
+        weights.append(reduce(np.multiply.outer, ws).ravel())
+    return sp.vstack(blocks, format="csr"), np.concatenate(weights)
 
 
 def impose_pins(values: np.ndarray, grid: SpaceTimeGrid, data: BoundaryData) -> None:

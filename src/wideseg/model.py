@@ -75,11 +75,6 @@ class ReactionFamily:
         return 0.0 if self.kind == "zero" else self.lam / 12.0
 
 
-def eval_reaction(family: ReactionFamily, s):
-    """Return the pair (f(s), F(s)) for a reaction family."""
-    return family.f(s), family.F(s)
-
-
 @dataclass(frozen=True)
 class SystemSpec:
     """Species count, competition matrix and per-species reactions."""

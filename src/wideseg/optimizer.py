@@ -181,10 +181,7 @@ def projected_bb(x0, value_fn, grad_fn, mass, project_fn, cfg: OptimizerConfig,
 
 def node_mass(grid: SpaceTimeGrid, spec: SystemSpec) -> np.ndarray:
     """Quadrature mass per node, broadcast to the field shape."""
-    c = grid.node_time_weights
-    sw = grid.space_weights
-    m = c.reshape((grid.nt,) + (1,) * sw.ndim) * sw
-    return np.broadcast_to(m, (spec.k, grid.nt) + grid.space_shape).copy()
+    return np.repeat(grid.node_weights[None], spec.k, axis=0)
 
 
 def curvature_estimate(grid: SpaceTimeGrid, spec: SystemSpec,
@@ -192,9 +189,7 @@ def curvature_estimate(grid: SpaceTimeGrid, spec: SystemSpec,
     """Upper bound on the preconditioned Hessian diagonal, from the two
     dominant quadratic terms (time stencil and spatial stencil) plus the
     penalty curvature on the box."""
-    L = 8.0 / grid.dt**2 + 8.0 * eps / grid.dx**2
-    if grid.dim == 2:
-        L += 8.0 * eps / grid.dy**2
+    L = sum((8.0 * eps / h**2 for _, h in grid.axes), 8.0 / grid.dt**2)
     if beta > 0:
         row = float(np.max(np.sum(np.abs(spec.A), axis=1)))
         L += 6.0 * eps * beta * row

@@ -15,7 +15,7 @@ import scipy.sparse as sp
 from scipy.interpolate import interp1d
 from scipy.sparse.linalg import cg, spsolve
 
-from .continuation import hard_segregation, to_original_time
+from .continuation import hard_segregation, original_time_l2, to_original_time
 from .functional import (
     _slice_terms, penalty_density, potential_gradient, slice_potential_change,
 )
@@ -157,16 +157,10 @@ def compare_with_minimizer(entries, run: ParabolicRun, taus: np.ndarray,
     (each entry at most ``slack`` times its predecessor).
     """
     ref = sample_run(run, taus)
-    sw = grid.space_weights
     rows = []
     for eps, fld in entries:
-        v = to_original_time(fld, eps, taus)
-        d2 = np.sum((v - ref) ** 2, axis=0)
-        per_tau = np.tensordot(d2, sw, axes=sw.ndim)
-        rows.append({
-            "eps": eps,
-            "discrepancy": float(np.sqrt(np.trapezoid(per_tau, taus))),
-        })
+        d = original_time_l2(to_original_time(fld, eps, taus), ref, taus, grid)
+        rows.append({"eps": eps, "discrepancy": d})
     dec = all(
         rows[i + 1]["discrepancy"] <= slack * rows[i]["discrepancy"]
         for i in range(len(rows) - 1)
@@ -224,9 +218,7 @@ def minimize_elliptic(spec: SystemSpec, data: BoundaryData,
         w[:, bmask] = g0
         return w
 
-    L = 8.0 / grid.dx**2
-    if grid.dim == 2:
-        L += 8.0 / grid.dy**2
+    L = sum(8.0 / h**2 for _, h in grid.axes)
     if beta > 0:
         L += 6.0 * beta * float(np.max(np.sum(np.abs(spec.A), axis=1)))
     L += 2.0 * _reaction_slope_bound(spec)

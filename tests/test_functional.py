@@ -6,6 +6,7 @@ from wideseg import grid as gridmod
 from wideseg.functional import (
     competitor_field, competitor_value, energy_identity_residual, eval_J,
     eval_J_change, eval_J_value, grad_J, penalty_density, slice_estimates,
+    slice_potential,
 )
 from wideseg.grid import StateField, build_grid, project_constraints
 from wideseg.model import BoundaryData, ReactionFamily, SystemSpec, preset_v0
@@ -63,6 +64,29 @@ class TestFrozenValues:
         tr = eval_J(f, 0.1, 5.0)
         assert tr.E[0] == pytest.approx(tr.J, rel=1e-12)
         assert tr.E[-1] == 0.0
+
+
+def dirichlet_energy_of_x(g):
+    """Per-slice Dirichlet energy of the field (x, 0)."""
+    spec = SystemSpec.make(2, [[0, 1], [1, 0]])
+    vals = np.zeros((2, g.nt) + g.space_shape)
+    vals[0] = g.x_field()
+    return slice_potential(StateField(vals, g, spec), eps=1.0, beta=0.0)
+
+
+class TestDirichletEnergy:
+    """The Dirichlet term of u = x is the integral of |grad x|^2 = 1."""
+
+    def test_unit_interval(self):
+        g = build_grid(1, 15, 1.0, 5, T_R)
+        np.testing.assert_allclose(dirichlet_energy_of_x(g), 1.0, rtol=1e-13)
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "known defect: the 2-D Dirichlet form is half of the integral of "
+        "|grad u|^2 (see ROADMAP)"))
+    def test_unit_square(self):
+        g = build_grid(2, 7, 1.0, 5, T_R, ny=7, Ly=1.0)
+        np.testing.assert_allclose(dirichlet_energy_of_x(g), 1.0, rtol=1e-13)
 
 
 class TestGradient:

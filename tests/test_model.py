@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wideseg.model import (
-    BoundaryData, ReactionFamily, SystemSpec, eval_reaction, preset_v0,
+    BoundaryData, ReactionFamily, SystemSpec, preset_v0,
     validate_boundary, validate_system,
 )
 
@@ -56,11 +56,10 @@ class TestReactionFamily:
         r = ReactionFamily("cubic", 1.0)
         assert r.F(np.clip(s, 0.0, 1.0)) >= r.F(s) - 1e-12
 
-    def test_eval_reaction_pair(self):
+    def test_f_and_F_at_half(self):
         r = ReactionFamily("cubic", 2.0)
-        f, F = eval_reaction(r, 0.5)
-        assert f == pytest.approx(2.0 / 8.0)
-        assert F == pytest.approx(10.0 / 192.0)
+        assert r.f(0.5) == pytest.approx(2.0 / 8.0)
+        assert r.F(0.5) == pytest.approx(10.0 / 192.0)
 
 
 class TestSystemSpec:
