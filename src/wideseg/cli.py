@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import MALLOC_POLICY, __version__
 from . import diagnostics as diag
 from . import oracle as oracle_mod
 from .continuation import LadderSpec, run_eps_ladder, to_original_time
@@ -275,6 +275,7 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
         "meta": {
             "created_at": datetime.datetime.now().isoformat(),
             "version": __version__,
+            "malloc_policy": MALLOC_POLICY,
         },
     }
     verdicts = summary["verdicts"]
@@ -287,13 +288,15 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
         for beta, res in zip(bl.betas, bl.results):
             if not res.converged:
                 log(f"stage minimize(eps={eps:g}, beta={beta:g}) "
-                    f"did not converge (pg_norm={res.pg_norm:.3g})")
+                    f"did not converge (stop: {res.stop_reason}, "
+                    f"pg_norm={res.pg_norm:.3g})")
                 summary["failed_stage"] = f"minimize(eps={eps:g}, beta={beta:g})"
                 _write_summary(out_dir, summary)
                 return 1, summary
         if not bl.refine.converged:
             log(f"stage refine(eps={eps:g}) did not converge "
-                f"(pg_norm={bl.refine.pg_norm:.3g})")
+                f"(stop: {bl.refine.stop_reason}, "
+                f"pg_norm={bl.refine.pg_norm:.3g})")
             summary["failed_stage"] = f"refine(eps={eps:g})"
             _write_summary(out_dir, summary)
             return 1, summary

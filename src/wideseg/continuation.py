@@ -13,11 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import interp1d
 
 from .diagnostics import overlap
 from .functional import eval_J
-from .grid import SpaceTimeGrid, StateField
+from .grid import SpaceTimeGrid, StateField, resample_in_time
 from .model import BoundaryData, SystemSpec
 from .optimizer import OptimizeResult, OptimizerConfig, default_init, minimize
 
@@ -129,7 +128,8 @@ def to_original_time(field: StateField, eps: float,
                      tau_grid: np.ndarray) -> np.ndarray:
     """Resample a rescaled-clock field at original times tau = eps * t.
 
-    Linear interpolation per node; exact on the nodal lattice.
+    Linear interpolation per node (``grid.resample_in_time``); on the
+    nodal lattice it returns the nodal values up to round-off.
     """
     tau_grid = np.asarray(tau_grid, dtype=float)
     horizon = eps * field.grid.T_r
@@ -139,8 +139,7 @@ def to_original_time(field: StateField, eps: float,
             f"original-time horizon {horizon:g} (= eps * T_r)"
         )
     t_query = np.clip(tau_grid / eps, 0.0, field.grid.T_r)
-    f = interp1d(field.grid.t, field.values, axis=1, kind="linear")
-    return f(t_query)
+    return resample_in_time(field.grid.t, field.values, t_query)
 
 
 def original_time_l2(a: np.ndarray, b: np.ndarray, taus: np.ndarray,

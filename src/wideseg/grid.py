@@ -184,6 +184,34 @@ def discrete_time_derivative(field: StateField) -> np.ndarray:
     return (u[:, 1:] - u[:, :-1]) / field.grid.dt
 
 
+def resample_in_time(times: np.ndarray, values: np.ndarray,
+                     query: np.ndarray) -> np.ndarray:
+    """Piecewise-linear resampling of ``values`` (k, len(times), *space),
+    sampled at ascending ``times``, at the times ``query`` (1-D).
+
+    The arithmetic is that of ``scipy.interpolate.interp1d(kind="linear")``
+    -- the cell of each query by ``searchsorted`` clipped to [1, n-1], then
+    ``slope * (q - t_lo) + y_lo`` -- so results are bit-identical to it,
+    and it returns the nodal values up to round-off.  A query outside
+    [times[0], times[-1]] raises ValueError.
+    """
+    times = np.asarray(times, dtype=float)
+    query = np.asarray(query, dtype=float)
+    outside = (query < times[0]) | (query > times[-1])
+    if np.any(outside):
+        raise ValueError(
+            f"a query time ({query[np.argmax(outside)]}) lies outside the "
+            f"sampled range [{times[0]}, {times[-1]}]"
+        )
+    hi = np.clip(np.searchsorted(times, query), 1, len(times) - 1)
+    lo = hi - 1
+    y_lo = values[:, lo]
+    y_hi = values[:, hi]
+    span = (query - times[lo]).reshape((-1,) + (1,) * (values.ndim - 2))
+    width = (times[hi] - times[lo]).reshape(span.shape)
+    return (y_hi - y_lo) / width * span + y_lo
+
+
 def spatial_gradients(values: np.ndarray, grid: SpaceTimeGrid) -> list[np.ndarray]:
     """Cell gradients of nodal values along each spatial axis.
 

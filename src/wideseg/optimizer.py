@@ -52,6 +52,7 @@ class OptimizeResult:
     iters: int
     pg_norm: float
     converged: bool
+    stop_reason: str          # "converged", "no_descent" or "max_iters"
     J_history: list = field(default_factory=list)
 
 
@@ -106,23 +107,32 @@ def projected_bb(x0, value_fn, grad_fn, mass, project_fn, cfg: OptimizerConfig,
     taken only if it strictly decreases J by the same measure, and
     otherwise the loop stops.  A stop reports ``converged`` only if the
     KKT residual is within ``grad_tol``.
+
+    ``stop_reason`` says where the loop ended: ``"converged"`` (KKT
+    residual within ``grad_tol``), ``"no_descent"`` (no step decreased J)
+    or ``"max_iters"`` (the cap was reached with the residual above
+    ``grad_tol``).  ``iters`` is the index of the last loop pass, so a
+    capped run reports ``max_iters - 1``.
     """
+    free = mass > 0
+    divisor = np.where(free, mass, 1.0)
+
+    def precondition(g):
+        return np.where(free, g / divisor, 0.0)
+
     x = project_fn(np.asarray(x0, dtype=float))
     J = value_fn(x)
     history = [J]
-    g = grad_fn(x)
-    gh = np.where(mass > 0, g / np.where(mass > 0, mass, 1.0), 0.0)
+    gh = precondition(grad_fn(x))
     s_fallback = 1.0 / lipschitz
     s = s_fallback
     x_prev = None
     gh_prev = None
-    converged = False
-    pg_norm = float(np.max(np.abs(_kkt_residual(x, gh))))
     it = 0
     for it in range(cfg.max_iters):
         pg_norm = float(np.max(np.abs(_kkt_residual(x, gh))))
         if pg_norm <= cfg.grad_tol:
-            converged = True
+            stop_reason = "converged"
             break
 
         if x_prev is not None:
@@ -158,24 +168,26 @@ def projected_bb(x0, value_fn, grad_fn, mass, project_fn, cfg: OptimizerConfig,
             J_new = value_fn(x_new)
             if not _decrease(change_fn, x, J, x_new, J_new, 0.0) < 0.0:
                 # cannot make progress; stop with the current iterate
+                stop_reason = "no_descent"
                 break
 
         x_prev, gh_prev = x, gh
         x, J = x_new, J_new
         history.append(J)
-        g = grad_fn(x)
-        gh = np.where(mass > 0, g / np.where(mass > 0, mass, 1.0), 0.0)
+        gh = precondition(grad_fn(x))
         s = trial
-
-    if not converged:
+    else:
+        # the cap was reached: judge the iterate of the last accepted step
         pg_norm = float(np.max(np.abs(_kkt_residual(x, gh))))
-        converged = pg_norm <= cfg.grad_tol
+        stop_reason = "converged" if pg_norm <= cfg.grad_tol else "max_iters"
+
     return x, {
         "J": J,
         "J_history": history,
         "iters": it,
         "pg_norm": pg_norm,
-        "converged": converged,
+        "converged": stop_reason == "converged",
+        "stop_reason": stop_reason,
     }
 
 
@@ -268,4 +280,5 @@ def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
         pg_norm=info["pg_norm"],
         converged=info["converged"],
         J_history=info["J_history"],
+        stop_reason=info["stop_reason"],
     )

@@ -12,14 +12,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.interpolate import interp1d
 from scipy.sparse.linalg import cg, spsolve
 
 from .continuation import hard_segregation, original_time_l2, to_original_time
 from .functional import (
     _slice_terms, penalty_density, potential_gradient, slice_potential_change,
 )
-from .grid import SpaceTimeGrid, StateField
+from .grid import SpaceTimeGrid, StateField, resample_in_time
 from .model import BoundaryData, SystemSpec
 from .optimizer import OptimizerConfig, minimize, node_mass, projected_bb
 
@@ -144,8 +143,7 @@ def step_parabolic(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
 
 def sample_run(run: ParabolicRun, taus: np.ndarray) -> np.ndarray:
     """Linear-in-time resampling of a parabolic trajectory."""
-    f = interp1d(run.taus, run.values, axis=1, kind="linear")
-    return f(np.asarray(taus, dtype=float))
+    return resample_in_time(run.taus, run.values, taus)
 
 
 def compare_with_minimizer(entries, run: ParabolicRun, taus: np.ndarray,

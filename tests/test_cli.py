@@ -113,7 +113,8 @@ class TestExitCodes:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["failed_stage"].startswith("minimize(eps=")
 
-    def test_unconverged_refine_is_1_with_stage(self, tmp_path, monkeypatch):
+    def test_unconverged_refine_is_1_with_stage(self, tmp_path, monkeypatch,
+                                                capsys):
         # starve only the penalty-free refine (the minimization with a
         # support mask); every penalty rung still converges
         from wideseg import continuation
@@ -133,6 +134,8 @@ class TestExitCodes:
         assert code == 1
         summary = json.loads((out / "summary.json").read_text())
         assert summary["failed_stage"] == "refine(eps=0.2)"
+        assert "refine(eps=0.2) did not converge (stop: max_iters" in \
+            capsys.readouterr().out
 
     def test_check_and_report_missing_artifacts(self, tmp_path, capsys):
         assert main(["check", "--artifacts", str(tmp_path)]) == 2

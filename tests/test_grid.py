@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
+from scipy.interpolate import interp1d
 
 from wideseg.grid import (
     StateField, build_grid, cell_gradient, discrete_time_derivative,
-    free_mask, impose_pins, project_constraints, spatial_gradients,
-    zeros_field,
+    free_mask, impose_pins, project_constraints, resample_in_time,
+    spatial_gradients, zeros_field,
 )
 from wideseg.model import BoundaryData, SystemSpec, preset_v0
 from wideseg.oracle import _stiffness
@@ -91,6 +92,30 @@ class TestOperators:
         gx, gy = spatial_gradients(vals, g)
         np.testing.assert_allclose(gx, 2.0, rtol=1e-12)
         np.testing.assert_allclose(gy, 3.0, rtol=1e-12)
+
+
+class TestResampleInTime:
+    @pytest.mark.parametrize("space", [(9,), (5, 4)])
+    def test_bit_identical_to_interp1d(self, space):
+        # the helper replaced interp1d(axis=1, kind="linear"); summary.json
+        # is promised bit-for-bit, so the arithmetic must match exactly
+        rng = np.random.default_rng(3)
+        times = np.cumsum(rng.uniform(0.1, 1.0, 17)) - 0.1
+        values = rng.standard_normal((2, 17) + space)
+        query = np.concatenate(
+            [times, rng.uniform(times[0], times[-1], 40), times[::-1]]
+        )
+        expect = interp1d(times, values, axis=1, kind="linear")(query)
+        got = resample_in_time(times, values, query)
+        assert got.shape == expect.shape
+        np.testing.assert_array_equal(got, expect)
+        np.testing.assert_allclose(got[:, :17], values, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("q", [-1e-9, 1.0 + 1e-9])
+    def test_query_outside_nodes_raises(self, q):
+        times = np.linspace(0.0, 1.0, 5)
+        with pytest.raises(ValueError, match="outside"):
+            resample_in_time(times, np.zeros((1, 5, 3)), np.array([0.5, q]))
 
 
 GRIDS = {

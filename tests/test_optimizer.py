@@ -57,7 +57,7 @@ class TestMinimize:
     def test_minimizer_is_fixed_point(self):
         g, spec, data = setup(nx=7, nt=11)
         res = minimize(spec, data, g, 0.1, 10.0)
-        assert res.converged
+        assert res.converged and res.stop_reason == "converged"
         again = minimize(spec, data, g, 0.1, 10.0, init=res.field)
         assert again.iters <= 1
         assert again.trace.J <= res.trace.J + 1e-12
@@ -83,7 +83,8 @@ class TestMinimize:
             OptimizerConfig(max_iters=2), init="random",
         )
         assert not res.converged
-
+        assert res.stop_reason == "max_iters"
+        assert res.iters == 1
 
     def test_flat_objective_stops_without_capping(self):
         # a nonzero gradient on an objective that no step decreases: the
@@ -102,9 +103,24 @@ class TestMinimize:
             10.0, lambda x, d: 0.0,
         )
         assert not info["converged"]
+        assert info["stop_reason"] == "no_descent"
         assert info["iters"] == 0
         assert len(calls) < 100
         np.testing.assert_array_equal(x, x0)
+
+    def test_cap_reached_on_a_converged_iterate_reports_converged(self):
+        # the last pass takes a step onto the minimizer; the loop then ends
+        # on the cap, but the iterate it returns meets grad_tol
+        target = np.linspace(0.2, 0.8, 6)
+        x, info = projected_bb(
+            np.full(6, 0.5), lambda x: 0.5 * float(np.sum((x - target) ** 2)),
+            lambda x: x - target, np.ones(6),
+            lambda x: np.clip(x, 0.0, 1.0), OptimizerConfig(max_iters=1),
+            1.0, lambda x, d: float(np.sum((x - target) * d + 0.5 * d * d)),
+        )
+        assert info["stop_reason"] == "converged" and info["converged"]
+        assert info["iters"] == 0
+        np.testing.assert_allclose(x, target, rtol=0, atol=1e-15)
 
 
 class TestHelpers:
