@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import overlap
-from .functional import eval_J
 from .grid import SpaceTimeGrid, StateField, resample_in_time
 from .model import BoundaryData, SystemSpec
 from .optimizer import OptimizeResult, OptimizerConfig, default_init, minimize
@@ -77,6 +76,28 @@ class BetaLadderResult:
     all_converged: bool
 
 
+def segregated_ladder(solve, betas, init: np.ndarray):
+    """Ascend the penalty ladder, then pass to its segregated limit.
+
+    ``solve(beta, values, support) -> (result, values)`` minimizes at one
+    penalty from the starting ``values``, holding nodes outside ``support``
+    (when given) at zero.  Each rung is warm-started from the previous
+    one.  The top rung is hard-segregated and re-minimized with the penalty
+    off on the frozen partition: the hard projection leaves an
+    O(beta^{-1/4}) cliff at interfaces, whereas the limit object is the
+    minimizer over segregated fields.  Returns the rung results, the
+    refine result and the hard-segregated refined values.
+    """
+    results = []
+    values = init
+    for beta in betas:
+        res, values = solve(beta, values, None)
+        results.append(res)
+    projected = hard_segregation(values)
+    refined, values = solve(0.0, projected, projected > 0.0)
+    return results, refined, hard_segregation(values)
+
+
 def run_beta_ladder(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
                     eps: float, betas, config: OptimizerConfig | None = None,
                     init: StateField | None = None) -> BetaLadderResult:
@@ -84,41 +105,23 @@ def run_beta_ladder(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
     cfg = config or OptimizerConfig()
     if init is None:
         init = default_init(spec, data, grid, mode="competitor", seed=cfg.seed)
-    results: list[OptimizeResult] = []
-    beta_overlap: list[float] = []
-    distances: list[float] = []
-    current = init
-    prev_vals = None
-    for beta in betas:
-        res = minimize(spec, data, grid, eps, beta, cfg, init=current)
-        results.append(res)
-        ov, _ = overlap(res.field)
-        beta_overlap.append(beta * ov)
-        if prev_vals is not None:
-            distances.append(
-                weighted_l2_distance(res.field.values, prev_vals, grid)
-            )
-        prev_vals = res.field.values
-        current = res.field
-    raw_top = results[-1].field
-    projected = hard_segregation(raw_top.values)
-    # re-minimize with the penalty off on the frozen partition: the hard
-    # projection leaves an O(beta^{-1/4}) cliff at interfaces, whereas the
-    # limit object is the minimizer over segregated fields
-    refined = minimize(
-        spec, data, grid, eps, 0.0, cfg,
-        init=StateField(projected, grid, spec),
-        support=projected > 0.0,
-    )
-    v_eps = StateField(hard_segregation(refined.field.values), grid, spec)
+
+    def solve(beta, values, support):
+        res = minimize(spec, data, grid, eps, beta, cfg,
+                       init=StateField(values, grid, spec), support=support)
+        return res, res.field.values
+
+    results, refined, v_eps = segregated_ladder(solve, betas, init.values)
+    fields = [r.field for r in results]
     return BetaLadderResult(
         eps=eps,
         betas=tuple(betas),
         results=results,
-        beta_overlap=beta_overlap,
-        distances=distances,
-        v_eps=v_eps,
-        raw_top=raw_top,
+        beta_overlap=[b * overlap(f)[0] for b, f in zip(betas, fields)],
+        distances=[weighted_l2_distance(cur.values, prev.values, grid)
+                   for prev, cur in zip(fields, fields[1:])],
+        v_eps=StateField(v_eps, grid, spec),
+        raw_top=fields[-1],
         refine=refined,
         all_converged=all(r.converged for r in results) and refined.converged,
     )

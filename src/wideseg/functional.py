@@ -76,9 +76,8 @@ def slice_potential(field: StateField, eps: float, beta: float) -> np.ndarray:
 
 
 def _kinetic_cells(field: StateField) -> np.ndarray:
-    g = field.grid
-    du = (field.values[:, 1:] - field.values[:, :-1]) / g.dt
-    sw = g.space_weights
+    du = gridmod.discrete_time_derivative(field)
+    sw = field.grid.space_weights
     return np.tensordot(np.sum(du * du, axis=0), sw, axes=sw.ndim)
 
 
@@ -183,7 +182,7 @@ def grad_J(field: StateField, eps: float, beta: float,
     nsp = sw.ndim
 
     # kinetic part: d/du sum_j w_j sum_x m_x |du_j|^2 / dt^2
-    du = (u[:, 1:] - u[:, :-1]) / g.dt
+    du = gridmod.discrete_time_derivative(field)
     flux = (2.0 / g.dt) * du * _time_expand(g.cell_weights, nsp) * sw
     out = np.zeros_like(u)
     out[:, :-1] -= flux
@@ -230,30 +229,3 @@ def competitor_value(data: BoundaryData, grid: SpaceTimeGrid,
                      spec: SystemSpec, eps: float) -> float:
     """J of the time-constant extension of v0."""
     return eval_J_value(competitor_field(data, grid, spec), eps, beta=0.0)
-
-
-def slice_estimates(trace: EnergyTrace, eps: float, M: float, volume: float,
-                    J_competitor: float, rel_slack: float = 0.02,
-                    abs_slack: float = 1e-6) -> dict:
-    """Check the level, energy and kinetic-integral bounds on a trace."""
-    dt = trace.t[1] - trace.t[0]
-    lower = -eps * M * volume
-    slack = abs_slack + rel_slack * max(abs(lower), abs(J_competitor))
-    level_ok = (trace.J >= lower - slack) and (trace.J <= J_competitor + slack)
-    E_lo = lower - slack
-    E_hi = trace.J + slack
-    E_bound_ok = bool((trace.E >= E_lo).all() and (trace.E <= E_hi).all())
-    I_total = float(dt * trace.I.sum())
-    I_cap = 0.5 * (J_competitor + eps * M * volume)
-    I_integral_ok = I_total <= I_cap + slack
-    return {
-        "level_ok": bool(level_ok),
-        "E_bound_ok": E_bound_ok,
-        "I_integral_ok": bool(I_integral_ok),
-        "J": trace.J,
-        "J_lower": lower,
-        "J_competitor": J_competitor,
-        "E_max_abs": float(np.max(np.abs(trace.E))),
-        "I_total": I_total,
-        "I_cap": I_cap,
-    }

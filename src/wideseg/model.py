@@ -116,31 +116,33 @@ class SystemSpec:
         return out
 
 
-def validate_system(spec: SystemSpec) -> list[str]:
+def validate_system(spec: SystemSpec) -> list[tuple[str, str]]:
     """Check the structural invariants of a SystemSpec.
 
-    Returns a list of human-readable violations; an empty list means ok.
+    Returns (field, message) pairs, the field one of ``k``, ``A``,
+    ``A[i][j]`` (0-based) or ``reactions``; an empty list means ok.  A
+    must be exactly symmetric: the cancellation-free penalty change in
+    ``functional.slice_potential_change`` relies on it.
     """
-    out: list[str] = []
+    out: list[tuple[str, str]] = []
     if spec.k < 2:
-        out.append(f"species count k = {spec.k} must be >= 2")
+        out.append(("k", f"species count {spec.k} must be >= 2"))
     A = np.asarray(spec.A)
     if A.shape != (spec.k, spec.k):
-        out.append(f"A has shape {A.shape}, expected ({spec.k}, {spec.k})")
+        out.append(("A", f"shape {A.shape} != ({spec.k}, {spec.k})"))
         return out
-    if not np.allclose(A, A.T):
-        out.append("A is not symmetric")
     for i in range(spec.k):
-        if A[i, i] != 0.0:
-            out.append(f"a_{i+1}{i+1} != 0 (diagonal must vanish)")
-    for i in range(spec.k):
-        for j in range(i + 1, spec.k):
-            if A[i, j] <= 0.0:
-                out.append(f"a_{i+1}{j+1} <= 0 (off-diagonal must be positive)")
+        for j in range(spec.k):
+            if i == j and A[i, j] != 0.0:
+                out.append((f"A[{i}][{j}]", "diagonal entry must be zero"))
+            if i != j and A[i, j] <= 0.0:
+                out.append((f"A[{i}][{j}]",
+                            "off-diagonal entry must be positive"))
+            if j > i and A[i, j] != A[j, i]:
+                out.append((f"A[{i}][{j}]", "matrix not symmetric"))
     if len(spec.reactions) != spec.k:
-        out.append(
-            f"{len(spec.reactions)} reaction families for {spec.k} species"
-        )
+        out.append(("reactions",
+                    f"{len(spec.reactions)} entries for k = {spec.k}"))
     return out
 
 

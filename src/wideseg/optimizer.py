@@ -88,16 +88,21 @@ def _decrease(change_fn, x, J, x_new, J_new, bound: float) -> float:
     return dJ
 
 
-def projected_bb(x0, value_fn, grad_fn, mass, project_fn, cfg: OptimizerConfig,
+def projected_bb(x0, value_fn, grad_fn, mass, cfg: OptimizerConfig,
                  lipschitz: float, change_fn):
     """Generic monotone projected-BB loop on the box [0, 1].
 
-    value_fn(x) -> scalar, grad_fn(x) -> raw gradient (zero on pinned
-    entries), mass -> quadrature mass per entry (used as a diagonal
-    preconditioner and inner product), project_fn(x) -> feasible point,
+    value_fn(x) -> scalar, grad_fn(x) -> raw gradient, mass -> quadrature
+    mass per entry (used as a diagonal preconditioner and inner product),
     change_fn(x, d) -> value_fn(x + d) - value_fn(x) computed without
     cancellation.  ``lipschitz`` is a curvature estimate for the
     preconditioned gradient, used for the initial and fallback step 1/L.
+
+    ``x0`` must lie in the box; every trial point is ``x - s * gh``
+    clipped to [0, 1].  Entries with zero mass get a preconditioned
+    gradient of exactly 0, so they never move from ``x0``: callers hold
+    pinned entries and nodes outside a prescribed support fixed by setting
+    them in ``x0`` and giving them zero mass, not by projecting every trial.
 
     A trial point is judged on the decrease ``J_new - J``; when that
     difference of full sums is within ``ROUNDOFF_RTOL * |J|`` of the bound
@@ -120,7 +125,7 @@ def projected_bb(x0, value_fn, grad_fn, mass, project_fn, cfg: OptimizerConfig,
     def precondition(g):
         return np.where(free, g / divisor, 0.0)
 
-    x = project_fn(np.asarray(x0, dtype=float))
+    x = np.asarray(x0, dtype=float)
     J = value_fn(x)
     history = [J]
     gh = precondition(grad_fn(x))
@@ -149,7 +154,7 @@ def projected_bb(x0, value_fn, grad_fn, mass, project_fn, cfg: OptimizerConfig,
         accepted = False
         trial = s
         while True:
-            x_new = project_fn(x - trial * gh)
+            x_new = np.clip(x - trial * gh, 0.0, 1.0)
             J_new = value_fn(x_new)
             pred = float(np.sum(mass * gh * (x - x_new)))
             bound = -cfg.armijo * pred
@@ -164,7 +169,7 @@ def projected_bb(x0, value_fn, grad_fn, mass, project_fn, cfg: OptimizerConfig,
         if not accepted:
             # descent safeguard: short fixed step from the curvature estimate
             trial = s_fallback
-            x_new = project_fn(x - trial * gh)
+            x_new = np.clip(x - trial * gh, 0.0, 1.0)
             J_new = value_fn(x_new)
             if not _decrease(change_fn, x, J, x_new, J_new, 0.0) < 0.0:
                 # cannot make progress; stop with the current iterate
@@ -244,10 +249,12 @@ def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
     if isinstance(init, str):
         init = default_init(spec, data, grid, mode=init, seed=cfg.seed)
     mass = node_mass(grid, spec)
-    fmask = gridmod.free_mask(grid, data)
-    mass[:, ~fmask] = 0.0
+    mass[:, ~gridmod.free_mask(grid, data)] = 0.0
+    x0 = np.clip(init.values, 0.0, 1.0)
     if support is not None:
         mass[~support] = 0.0
+        x0[~support] = 0.0
+    gridmod.impose_pins(x0, grid, data)
 
     def value_fn(x):
         return eval_J_value(StateField(x, grid, spec), eps, beta)
@@ -256,22 +263,10 @@ def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
         return eval_J_change(StateField(x, grid, spec), d, eps, beta)
 
     def grad_fn(x):
-        g = grad_J(StateField(x, grid, spec), eps, beta, data)
-        if support is not None:
-            g[~support] = 0.0
-        return g
-
-    def project_fn(x):
-        v = np.clip(x, 0.0, 1.0)
-        if support is not None:
-            v[~support] = 0.0
-        gridmod.impose_pins(v, grid, data)
-        return v
+        return grad_J(StateField(x, grid, spec), eps, beta, data)
 
     L = curvature_estimate(grid, spec, eps, beta)
-    x, info = projected_bb(
-        init.values, value_fn, grad_fn, mass, project_fn, cfg, L, change_fn
-    )
+    x, info = projected_bb(x0, value_fn, grad_fn, mass, cfg, L, change_fn)
     out_field = StateField(x, grid, spec)
     return OptimizeResult(
         field=out_field,

@@ -14,13 +14,13 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg, spsolve
 
-from .continuation import hard_segregation, original_time_l2, to_original_time
+from .continuation import original_time_l2, segregated_ladder, to_original_time
 from .functional import (
     _slice_terms, penalty_density, potential_gradient, slice_potential_change,
 )
-from .grid import SpaceTimeGrid, StateField, resample_in_time
+from .grid import SpaceTimeGrid, resample_in_time
 from .model import BoundaryData, SystemSpec
-from .optimizer import OptimizerConfig, minimize, node_mass, projected_bb
+from .optimizer import OptimizerConfig, minimize, projected_bb
 
 
 @dataclass
@@ -38,6 +38,7 @@ class EllipticResult:
     iters: int
     converged: bool
     pg_norm: float
+    stop_reason: str            # "converged", "no_descent" or "max_iters"
 
 
 def _reaction_slope_bound(spec: SystemSpec) -> float:
@@ -190,9 +191,11 @@ def minimize_elliptic(spec: SystemSpec, data: BoundaryData,
         grid.space_weights, (spec.k,) + grid.space_shape
     ).copy()
     mass[:, bmask] = 0.0
+    w0 = np.clip(data.v0, 0.0, 1.0)
     if support is not None:
         mass[~support] = 0.0
-    g0 = data.v0[:, bmask]
+        w0[~support] = 0.0
+    w0[:, bmask] = data.v0[:, bmask]
 
     def value_fn(w):
         return elliptic_energy(w, grid, spec, beta)
@@ -203,30 +206,18 @@ def minimize_elliptic(spec: SystemSpec, data: BoundaryData,
         )
 
     def grad_fn(w):
-        g = potential_gradient(w[:, None], grid, spec, beta)[:, 0]
-        g[:, bmask] = 0.0
-        if support is not None:
-            g[~support] = 0.0
-        return g
-
-    def project_fn(w):
-        w = np.clip(w, 0.0, 1.0)
-        if support is not None:
-            w[~support] = 0.0
-        w[:, bmask] = g0
-        return w
+        return potential_gradient(w[:, None], grid, spec, beta)[:, 0]
 
     L = sum(8.0 / h**2 for _, h in grid.axes)
     if beta > 0:
         L += 6.0 * beta * float(np.max(np.sum(np.abs(spec.A), axis=1)))
     L += 2.0 * _reaction_slope_bound(spec)
 
-    w, info = projected_bb(
-        data.v0.copy(), value_fn, grad_fn, mass, project_fn, cfg, L, change_fn
-    )
+    w, info = projected_bb(w0, value_fn, grad_fn, mass, cfg, L, change_fn)
     return EllipticResult(
         w=w, energy=info["J"], iters=info["iters"],
         converged=info["converged"], pg_norm=info["pg_norm"],
+        stop_reason=info["stop_reason"],
     )
 
 
@@ -240,31 +231,22 @@ def spatial_overlap(w: np.ndarray, grid: SpaceTimeGrid,
 def elliptic_beta_ladder(spec: SystemSpec, data: BoundaryData,
                          grid: SpaceTimeGrid, betas,
                          config: OptimizerConfig | None = None) -> dict:
-    """Stationary minimizers up the penalty ladder, warm-started.
+    """Stationary minimizers up the penalty ladder, warm-started, and their
+    segregated limit (``continuation.segregated_ladder``).
 
     Reports the overlap per rung, its top/bottom decay ratio, and the
-    hard-projected top-rung field.
+    hard-projected refined field.
     """
     cfg = config or OptimizerConfig()
-    results = []
-    overlaps = []
-    warm = data
-    for beta in betas:
-        res = minimize_elliptic(spec, warm, grid, beta, cfg)
-        results.append(res)
-        overlaps.append(spatial_overlap(res.w, grid, spec))
-        warm = BoundaryData.make(
-            np.where(np.abs(res.w) < 1e-300, 0.0, res.w), data.bc_mode
-        )
+
+    def solve(beta, values, support):
+        res = minimize_elliptic(spec, BoundaryData.make(values, data.bc_mode),
+                                grid, beta, cfg, support=support)
+        return res, res.w
+
+    results, refined, w_seg = segregated_ladder(solve, betas, data.v0)
+    overlaps = [spatial_overlap(r.w, grid, spec) for r in results]
     ratio = overlaps[-1] / overlaps[0] if overlaps[0] > 0 else 0.0
-    projected = hard_segregation(results[-1].w[:, None])[:, 0]
-    # the segregated limit minimizes the penalty-free energy on the frozen
-    # partition; re-minimizing there removes the projection cliff
-    refined = minimize_elliptic(
-        spec, BoundaryData.make(projected, data.bc_mode), grid, 0.0, cfg,
-        support=projected > 0.0,
-    )
-    w_seg = hard_segregation(refined.w[:, None])[:, 0]
     return {
         "betas": list(betas),
         "results": results,

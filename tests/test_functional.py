@@ -5,8 +5,7 @@ from hypothesis import given, settings, strategies as st
 from wideseg import grid as gridmod
 from wideseg.functional import (
     competitor_field, competitor_value, energy_identity_residual, eval_J,
-    eval_J_change, eval_J_value, grad_J, penalty_density, slice_estimates,
-    slice_potential,
+    eval_J_change, eval_J_value, grad_J, penalty_density, slice_potential,
 )
 from wideseg.grid import StateField, build_grid, project_constraints
 from wideseg.model import BoundaryData, ReactionFamily, SystemSpec, preset_v0
@@ -32,6 +31,9 @@ class TestFrozenValues:
             assert competitor_value(data, g, spec, eps) == pytest.approx(
                 4.0 * eps * WEIGHT_MASS, rel=1e-12
             )
+        assert eval_J(competitor_field(data, g, spec), 0.1, 0.0).I.sum() == 0.0
+        zero = BoundaryData.make(np.zeros((2, 17)))
+        assert eval_J(competitor_field(zero, g, spec), 0.1, 0.0).J == 0.0
 
     def test_constant_half_penalty_value(self):
         # u = (1/2, 1/2): <u^2, A u^2> = 1/8, J = (eps beta / 16)(1 - e^{-T_r})
@@ -243,22 +245,3 @@ class TestEnergyIdentity:
         assert not mask[0]
         t_last_used = tr.t[1:][mask].max()
         assert t_last_used <= T_R - 7.0
-
-
-class TestSliceEstimates:
-    def test_competitor_bounds(self):
-        g, spec, data = make_setup()
-        eps = 0.1
-        Jc = competitor_value(data, g, spec, eps)
-        tr = eval_J(competitor_field(data, g, spec), eps, 0.0)
-        rep = slice_estimates(tr, eps, spec.M_bound, g.volume, Jc)
-        assert rep["level_ok"] and rep["E_bound_ok"] and rep["I_integral_ok"]
-        assert rep["I_total"] == 0.0
-
-    def test_zero_data(self):
-        g, spec, _ = make_setup()
-        zero = BoundaryData.make(np.zeros((2, 17)))
-        tr = eval_J(competitor_field(zero, g, spec), 0.1, 0.0)
-        assert tr.J == 0.0
-        rep = slice_estimates(tr, 0.1, 0.0, g.volume, 0.0)
-        assert rep["level_ok"]

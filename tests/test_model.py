@@ -82,12 +82,12 @@ class TestSystemSpec:
     def test_validate_flags_diagonal(self):
         bad = SystemSpec.make(2, [[1.0, 1.0], [1.0, 0.0]])
         msgs = validate_system(bad)
-        assert any("diagonal" in m for m in msgs)
+        assert any("diagonal" in m for _, m in msgs)
 
     def test_validate_flags_asymmetry_and_sign(self):
         msgs = validate_system(SystemSpec.make(2, [[0.0, -1.0], [2.0, 0.0]]))
-        assert any("symmetric" in m for m in msgs)
-        assert any("positive" in m for m in msgs)
+        assert any("symmetric" in m for _, m in msgs)
+        assert any("positive" in m for _, m in msgs)
 
     def test_validate_flags_k(self):
         assert validate_system(SystemSpec.make(1, [[0.0]]))

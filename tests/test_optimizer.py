@@ -99,8 +99,7 @@ class TestMinimize:
 
         x, info = projected_bb(
             x0, value_fn, lambda x: np.ones_like(x), np.ones_like(x0),
-            lambda x: np.clip(x, 0.0, 1.0), OptimizerConfig(max_iters=500),
-            10.0, lambda x, d: 0.0,
+            OptimizerConfig(max_iters=500), 10.0, lambda x, d: 0.0,
         )
         assert not info["converged"]
         assert info["stop_reason"] == "no_descent"
@@ -114,13 +113,27 @@ class TestMinimize:
         target = np.linspace(0.2, 0.8, 6)
         x, info = projected_bb(
             np.full(6, 0.5), lambda x: 0.5 * float(np.sum((x - target) ** 2)),
-            lambda x: x - target, np.ones(6),
-            lambda x: np.clip(x, 0.0, 1.0), OptimizerConfig(max_iters=1),
+            lambda x: x - target, np.ones(6), OptimizerConfig(max_iters=1),
             1.0, lambda x, d: float(np.sum((x - target) * d + 0.5 * d * d)),
         )
         assert info["stop_reason"] == "converged" and info["converged"]
         assert info["iters"] == 0
         np.testing.assert_allclose(x, target, rtol=0, atol=1e-15)
+
+    def test_zero_mass_entries_keep_their_start_value(self):
+        # the objective pulls every entry towards 0, but entries without
+        # mass (pins, nodes outside a support) must stay at x0
+        x0 = np.linspace(0.1, 0.9, 8)
+        mass = np.ones(8)
+        mass[[1, 4, 6]] = 0.0
+        x, info = projected_bb(
+            x0, lambda x: 0.5 * float(np.sum(x * x)), lambda x: x.copy(),
+            mass, OptimizerConfig(), 1.0,
+            lambda x, d: float(np.sum(x * d + 0.5 * d * d)),
+        )
+        assert info["converged"] and info["iters"] > 0
+        np.testing.assert_array_equal(x[mass == 0], x0[mass == 0])
+        assert np.all(x[mass > 0] < 1e-5)
 
 
 class TestHelpers:

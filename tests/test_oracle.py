@@ -128,8 +128,16 @@ class TestElliptic:
     def test_energy_bounded_by_initial_guess(self):
         g, spec, data = setup(nx=31)
         res = minimize_elliptic(spec, data, g, 100.0)
-        assert res.converged
+        assert res.converged and res.stop_reason == "converged"
         assert res.energy <= elliptic_energy(data.v0, g, spec, 100.0) + 1e-12
+
+    def test_iteration_cap_reported(self):
+        g, spec, data = setup(nx=31)
+        res = minimize_elliptic(spec, data, g, 100.0,
+                                OptimizerConfig(max_iters=2))
+        assert not res.converged
+        assert res.stop_reason == "max_iters"
+        assert res.iters == 1
 
     def test_spatial_overlap_constant_half(self):
         g, spec, _ = setup()

@@ -9,6 +9,7 @@ those names would break the benchmark silently; these tests catch that.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 REPO = Path(__file__).resolve().parent.parent
@@ -16,6 +17,10 @@ sys.path.insert(0, str(REPO / "perfbench"))
 
 import spans  # noqa: E402
 import worker  # noqa: E402
+from wideseg import continuation, oracle  # noqa: E402
+from wideseg.grid import build_grid  # noqa: E402
+from wideseg.model import BoundaryData, SystemSpec, preset_v0  # noqa: E402
+from wideseg.optimizer import OptimizerConfig  # noqa: E402
 
 
 def test_traced_sites_exist():
@@ -32,3 +37,25 @@ def test_workload_setup(name, monkeypatch):
     monkeypatch.setattr(worker, "ROOT", REPO)
     rc, grid, data = worker.setup(name, 0)
     assert data.v0.shape == (rc.spec.k,) + grid.space_shape
+
+
+def test_ladders_are_captured_as_rungs():
+    # the untraced benchmark checks its output on the rungs this capture
+    # records; a ladder that stops calling minimize / minimize_elliptic
+    # through its own module would leave them out
+    grid = build_grid(1, 7, 1.0, 11, 20.0)
+    spec = SystemSpec.make(2, [[0, 1], [1, 0]])
+    v0 = preset_v0("two_ramp", grid.x_field(), 2)
+    betas = (10.0, 100.0)
+    cfg = OptimizerConfig(max_iters=200)
+    tracer = spans.Tracer(full=False)
+    with spans.instrument(tracer):
+        continuation.run_beta_ladder(
+            spec, BoundaryData.make(v0), grid, 0.1, betas, cfg)
+        oracle.elliptic_beta_ladder(
+            spec, BoundaryData.make(v0, "dirichlet_only"), grid, betas, cfg)
+    kinds = [r.kind for r in tracer.rungs]
+    assert kinds == ["penalty", "penalty", "refine",
+                     "elliptic", "elliptic", "elliptic"]
+    assert [r.beta for r in tracer.rungs] == [10.0, 100.0, 0.0] * 2
+    assert np.all(np.isnan([r.eps for r in tracer.rungs[3:]]))
