@@ -12,6 +12,7 @@ import argparse
 import configparser
 import csv
 import datetime
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -210,20 +211,11 @@ def write_field_csv(path: Path, vals: np.ndarray, taus: np.ndarray,
                     grid: SpaceTimeGrid) -> None:
     """Nodal field snapshot: one row per (t, node), one column per species."""
     k = vals.shape[0]
-    header = ["t", "x"] + (["y"] if grid.dim == 2 else []) \
-        + [f"v{i + 1}" for i in range(k)]
-    rows = []
-    if grid.dim == 1:
-        for j, t in enumerate(taus):
-            for p, x in enumerate(grid.x):
-                rows.append([t, x] + [vals[i, j, p] for i in range(k)])
-    else:
-        for j, t in enumerate(taus):
-            for p, x in enumerate(grid.x):
-                for q, y in enumerate(grid.y):
-                    rows.append(
-                        [t, x, y] + [vals[i, j, p, q] for i in range(k)]
-                    )
+    header = ["t", *"xy"[:grid.dim]] + [f"v{i + 1}" for i in range(k)]
+    flat = vals.reshape(k, len(taus), -1)
+    nodes = list(itertools.product(*grid.coords))
+    rows = [[t, *node] + [flat[i, j, p] for i in range(k)]
+            for j, t in enumerate(taus) for p, node in enumerate(nodes)]
     write_csv(path, header, rows)
 
 

@@ -7,12 +7,15 @@ report verdicts as data.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
 from .functional import EnergyTrace, energy_identity_residual, penalty_density
-from .grid import SpaceTimeGrid, StateField, spatial_gradients
+from .grid import SpaceTimeGrid, StateField
 from .model import SystemSpec
 
 #: mesh-error prefactor of the weak-inequality tolerance; calibrated once
@@ -58,16 +61,26 @@ class Bump:
     yc: float | None = None
     ry: float | None = None
 
-    def space_parts(self, x: np.ndarray, y: np.ndarray | None = None):
-        """(value, d/dx[, d/dy]) of the spatial factor on given coords."""
-        sx = (x - self.xc) / self.rx
-        bx, dbx = _bump_profile(sx), _bump_dprofile(sx) / self.rx
-        if self.yc is None:
-            return bx, dbx
-        sy = (y - self.yc) / self.ry
-        by, dby = _bump_profile(sy), _bump_dprofile(sy) / self.ry
-        return bx[:, None] * by[None, :], dbx[:, None] * by[None, :], \
-            bx[:, None] * dby[None, :]
+    @property
+    def radii(self) -> list:
+        """Radii in the order x, t, y; a bump on a 1-D grid has no y."""
+        return [r for r in (self.rx, self.rt, self.ry) if r is not None]
+
+    def space_parts(self, grid: SpaceTimeGrid):
+        """The spatial factor at the nodes, in the spatial shape, and its
+        analytic slope at the midpoint of every edge of the grid's cell
+        gradient G, in G's row order (built as ``grid.cell_gradient``
+        builds its weights: an outer product per axis, raveled)."""
+        centres = ((self.xc, self.rx), (self.yc, self.ry))
+        axes = list(zip(grid.coords, centres))
+        profiles = [_bump_profile((x - c) / r) for x, (c, r) in axes]
+        slopes = []
+        for a, (x, (c, r)) in enumerate(axes):
+            factors = list(profiles)
+            mid = 0.5 * (x[:-1] + x[1:])
+            factors[a] = _bump_dprofile((mid - c) / r) / r
+            slopes.append(reduce(np.multiply.outer, factors).ravel())
+        return reduce(np.multiply.outer, profiles), np.concatenate(slopes)
 
     def time_parts(self, t: np.ndarray):
         st = (t - self.tc) / self.rt
@@ -75,17 +88,11 @@ class Bump:
 
     @property
     def c1_norm(self) -> float:
-        n = 1.0 + _BPRIME_MAX / self.rx + _BPRIME_MAX / self.rt
-        if self.yc is not None:
-            n += _BPRIME_MAX / self.ry
-        return n
+        return sum((_BPRIME_MAX / r for r in self.radii), 1.0)
 
     @property
     def support_measure(self) -> float:
-        m = (2.0 * self.rx) * (2.0 * self.rt)
-        if self.yc is not None:
-            m *= 2.0 * self.ry
-        return m
+        return math.prod(2.0 * r for r in self.radii)
 
 
 @dataclass
@@ -95,37 +102,29 @@ class TestFunctionLattice:
 
 
 def build_lattice(grid: SpaceTimeGrid, t_lo: float, t_hi: float,
-                  n_x: int = 5, n_t: int = 3, scales=(0.12, 0.2),
-                  n_y: int | None = None) -> TestFunctionLattice:
-    """Bump centers on a regular interior lattice, two support radii each.
+                  n_x: int = 5, n_t: int = 3,
+                  scales=(0.12, 0.2)) -> TestFunctionLattice:
+    """Bump centers on a regular interior lattice, n_x per spatial axis and
+    n_t in time, for each scale.
 
     Radii are the scale times the corresponding extent; bumps whose support
     would touch the boundary are dropped (counted in ``skipped``).
     """
     lat = TestFunctionLattice()
-    if n_y is None and grid.dim == 2:
-        n_y = n_x
+    bounds = [(0.0, L) for L in grid.lengths] + [(t_lo, t_hi)]
+    counts = [n_x] * grid.dim + [n_t]
     for s in scales:
-        rx = s * grid.Lx
-        rt = s * (t_hi - t_lo)
-        ry = s * grid.Ly if grid.dim == 2 else None
-        if rx >= 0.5 * grid.Lx or rt >= 0.5 * (t_hi - t_lo):
-            lat.skipped += n_x * n_t * (n_y or 1)
+        radii = [s * (hi - lo) for lo, hi in bounds]
+        if any(r >= 0.5 * (hi - lo) for r, (lo, hi) in zip(radii, bounds)):
+            lat.skipped += math.prod(counts)
             continue
-        xcs = np.linspace(rx, grid.Lx - rx, n_x + 2)[1:-1]
-        tcs = np.linspace(t_lo + rt, t_hi - rt, n_t + 2)[1:-1]
-        if grid.dim == 1:
-            for xc in xcs:
-                for tc in tcs:
-                    lat.bumps.append(Bump(xc=xc, rx=rx, tc=tc, rt=rt))
-        else:
-            ycs = np.linspace(ry, grid.Ly - ry, n_y + 2)[1:-1]
-            for xc in xcs:
-                for yc in ycs:
-                    for tc in tcs:
-                        lat.bumps.append(
-                            Bump(xc=xc, rx=rx, tc=tc, rt=rt, yc=yc, ry=ry)
-                        )
+        centres = [np.linspace(lo + r, hi - r, n + 2)[1:-1]
+                   for r, (lo, hi), n in zip(radii, bounds, counts)]
+        *rs, rt = radii
+        for *cs, tc in itertools.product(*centres):
+            lat.bumps.append(Bump(tc=tc, rt=rt,
+                                  **dict(zip(("xc", "yc"), cs)),
+                                  **dict(zip(("rx", "ry"), rs))))
     return lat
 
 
@@ -138,66 +137,44 @@ class InequalityReport:
     passed: bool
 
 
-def _pairing(vals, dvdt, grads, fvals, taus, grid: SpaceTimeGrid,
-             eps_term: float, bump: Bump) -> float:
-    """One weak pairing  int int { eta dv/dt + eps dv/dt deta/dt
-    + grad v . grad eta - f(v) eta } dx dtau  for a single scalar field."""
+def _pairings(dvdt, grads, forces, taus, grid: SpaceTimeGrid,
+              eps_term: float, bump: Bump) -> np.ndarray:
+    """Weak pairings  int int { eta dv/dt + eps dv/dt deta/dt
+    + grad v . grad eta - f(v) eta } dx dtau  of one bump eta with each
+    field along the leading axis.
+
+    dvdt holds the time differences on time cells, grads the cell
+    gradients G v on the nodes' time levels, forces f(v) on the nodes.
+    The gradient term pairs G v with the bump's analytic slope at the edge
+    midpoints under the functional's edge weights W.
+    """
     dtau = np.diff(taus)
     t_mid = 0.5 * (taus[:-1] + taus[1:])
     ct = np.zeros_like(taus)
     ct[:-1] += 0.5 * dtau
     ct[1:] += 0.5 * dtau
-    sw = grid.space_weights
+    _, W = grid.dirichlet_operator
 
     bt_mid, dbt_mid = bump.time_parts(t_mid)
     bt, _ = bump.time_parts(taus)
-    if grid.dim == 1:
-        bx, _ = bump.space_parts(grid.x)
-        x_mid = 0.5 * (grid.x[:-1] + grid.x[1:])
-        sx = (x_mid - bump.xc) / bump.rx
-        dbx_cells = _bump_dprofile(sx) / bump.rx
+    eta, slope = bump.space_parts(grid)
+    sw_eta = grid.space_weights * eta
 
-        # time-derivative terms on time cells, eta at midpoints
-        spatial = np.tensordot(dvdt, sw * bx, axes=1)          # (n_tau-1,)
-        T1 = float(np.dot(dtau * bt_mid, spatial))
-        T2 = eps_term * float(np.dot(dtau * dbt_mid, spatial))
-        # gradient term: cell gradients x analytic bump slope at midpoints
-        per_tau = np.tensordot(grads[0], dbx_cells * grid.dx, axes=1)
-        T3 = float(np.dot(ct * bt, per_tau))
-        per_tau_f = np.tensordot(fvals, sw * bx, axes=1)
-        T4 = -float(np.dot(ct * bt, per_tau_f))
-        return T1 + T2 + T3 + T4
-
-    bxy, dbx, dby = bump.space_parts(grid.x, grid.y)
-    spatial = np.tensordot(dvdt, sw * bxy, axes=2)
-    T1 = float(np.dot(dtau * bt_mid, spatial))
-    T2 = eps_term * float(np.dot(dtau * dbt_mid, spatial))
-    x_mid = 0.5 * (grid.x[:-1] + grid.x[1:])
-    y_mid = 0.5 * (grid.y[:-1] + grid.y[1:])
-    sxm = (x_mid - bump.xc) / bump.rx
-    sym = (y_mid - bump.yc) / bump.ry
-    bx_m = _bump_profile((grid.x - bump.xc) / bump.rx)
-    by_m = _bump_profile((grid.y - bump.yc) / bump.ry)
-    dbx_cells = (_bump_dprofile(sxm) / bump.rx)[:, None] * by_m[None, :]
-    dby_cells = bx_m[:, None] * (_bump_dprofile(sym) / bump.ry)[None, :]
-    wy = grid.space_weights[0, :] / grid.dx
-    wx = grid.space_weights[:, 0] / grid.dy
-    per_tau = (
-        np.tensordot(grads[0], dbx_cells * (grid.dx * wy)[None, :], axes=2)
-        + np.tensordot(grads[1], dby_cells * (grid.dy * wx)[:, None], axes=2)
-    )
-    T3 = float(np.dot(ct * bt, per_tau))
-    per_tau_f = np.tensordot(fvals, sw * bxy, axes=2)
-    T4 = -float(np.dot(ct * bt, per_tau_f))
+    # time-derivative terms on time cells, eta at midpoints
+    spatial = np.tensordot(dvdt, sw_eta, axes=grid.dim)   # (n, n_tau-1)
+    T1 = spatial @ (dtau * bt_mid)
+    T2 = eps_term * (spatial @ (dtau * dbt_mid))
+    T3 = (grads @ (W * slope)) @ (ct * bt)
+    T4 = -(np.tensordot(forces, sw_eta, axes=grid.dim) @ (ct * bt))
     return T1 + T2 + T3 + T4
 
 
 def weak_tolerance(bump: Bump, grid: SpaceTimeGrid, dtau: float,
                    c_w: float = C_W_DEFAULT) -> float:
-    h = grid.dx + dtau
-    if grid.dim == 2:
-        h += grid.dy
-    return c_w * h * bump.c1_norm * bump.support_measure
+    # spacings in the order of the bump's radii: x, t, then y
+    spacings = [h for _, h in grid.axes]
+    spacings.insert(1, dtau)
+    return c_w * sum(spacings) * bump.c1_norm * bump.support_measure
 
 
 def check_weak_inequalities(vals: np.ndarray, taus: np.ndarray,
@@ -216,29 +193,22 @@ def check_weak_inequalities(vals: np.ndarray, taus: np.ndarray,
     k = spec.k
     n_b = len(lattice.bumps)
     dtau_mean = float(np.mean(np.diff(taus))) if tol_dtau is None else tol_dtau
-    A = np.zeros((k, n_b))
-    B = np.zeros((k, n_b))
     tol = np.array([
         weak_tolerance(b, grid, dtau_mean, c_w) for b in lattice.bumps
     ])
 
-    dt_cells = np.diff(taus).reshape((-1,) + (1,) * grid.dim)
+    # the k fields, then their k hatted fields v_i - sum_{j != i} v_j
     fvals = spec.f_all(vals)
-    for i in range(k):
-        vi = vals[i]
-        vhat = vals[i] - (vals.sum(axis=0) - vals[i])
-        fhat = fvals[i] - (fvals.sum(axis=0) - fvals[i])
-        dvdt_i = (vi[1:] - vi[:-1]) / dt_cells
-        dvhat = (vhat[1:] - vhat[:-1]) / dt_cells
-        grads_i = spatial_gradients(vi, grid)
-        grads_h = spatial_gradients(vhat, grid)
-        for b_idx, bump in enumerate(lattice.bumps):
-            A[i, b_idx] = _pairing(
-                vi, dvdt_i, grads_i, fvals[i], taus, grid, eps_term, bump
-            )
-            B[i, b_idx] = _pairing(
-                vhat, dvhat, grads_h, fhat, taus, grid, eps_term, bump
-            )
+    fields = np.concatenate([vals, vals - (vals.sum(axis=0) - vals)])
+    forces = np.concatenate([fvals, fvals - (fvals.sum(axis=0) - fvals)])
+    dt_cells = np.diff(taus).reshape((-1,) + (1,) * grid.dim)
+    dvdt = np.diff(fields, axis=1) / dt_cells
+    grads = grid.gradient(fields)
+    pairings = np.array([
+        _pairings(dvdt, grads, forces, taus, grid, eps_term, b)
+        for b in lattice.bumps
+    ]).reshape(n_b, 2 * k).T
+    A, B = pairings[:k], pairings[k:]
 
     viol = max(
         float(np.max(A - tol[None, :])),

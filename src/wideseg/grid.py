@@ -9,6 +9,7 @@ ghost values; nx still counts interior nodes and dx = Lx/(nx+1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -86,12 +87,22 @@ class SpaceTimeGrid:
         return [(self.nx + 2, self.dx), (self.ny + 2, self.dy)][:self.dim]
 
     @property
+    def coords(self) -> list:
+        """Node coordinates of each spatial axis."""
+        return [self.x, self.y][:self.dim]
+
+    @property
+    def lengths(self) -> list:
+        """Length of each spatial axis."""
+        return [self.Lx, self.Ly][:self.dim]
+
+    @property
     def space_shape(self) -> tuple:
         return self.space_weights.shape
 
     @property
     def volume(self) -> float:
-        return self.Lx if self.dim == 1 else self.Lx * self.Ly
+        return math.prod(self.lengths)
 
     @cached_property
     def node_weights(self) -> np.ndarray:
@@ -107,7 +118,10 @@ class SpaceTimeGrid:
         if self.dim == 2:
             # known defect, kept so that results stay comparable: the 2-D
             # form took its cross-axis weights from the boundary row of the
-            # trapezoid weights, so it is half of int |grad u|^2 (ROADMAP 6)
+            # trapezoid weights, so it is half of int |grad u|^2 (ROADMAP 6).
+            # This is the only site of the half: the value, the gradient,
+            # the uniformity windows and the weak-inequality pairings all
+            # read W from here
             W = 0.5 * W
         return G, W
 
@@ -172,12 +186,6 @@ class StateField:
         return StateField(self.values.copy(), self.grid, self.spec)
 
 
-def zeros_field(grid: SpaceTimeGrid, spec: SystemSpec) -> StateField:
-    return StateField(
-        np.zeros((spec.k, grid.nt) + grid.space_shape), grid, spec
-    )
-
-
 def discrete_time_derivative(field: StateField) -> np.ndarray:
     """Forward differences per time cell, shape (k, nt-1, *space)."""
     u = field.values
@@ -210,16 +218,6 @@ def resample_in_time(times: np.ndarray, values: np.ndarray,
     span = (query - times[lo]).reshape((-1,) + (1,) * (values.ndim - 2))
     width = (times[hi] - times[lo]).reshape(span.shape)
     return (y_hi - y_lo) / width * span + y_lo
-
-
-def spatial_gradients(values: np.ndarray, grid: SpaceTimeGrid) -> list[np.ndarray]:
-    """Cell gradients of nodal values along each spatial axis.
-
-    values may carry arbitrary leading axes; differences act on the
-    trailing spatial axes.
-    """
-    return [np.diff(values, axis=a - grid.dim) / h
-            for a, (_, h) in enumerate(grid.axes)]
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:
@@ -256,13 +254,6 @@ def impose_pins(values: np.ndarray, grid: SpaceTimeGrid, data: BoundaryData) -> 
     if data.pins_dirichlet:
         g0 = data.v0[:, grid.boundary_mask]  # (k, nb)
         values[:, :, grid.boundary_mask] = g0[:, None, :]
-
-
-def project_constraints(field: StateField, data: BoundaryData) -> StateField:
-    """Clip to [0, 1] and re-impose the prescribed traces.  Idempotent."""
-    v = np.clip(field.values, 0.0, 1.0)
-    impose_pins(v, field.grid, data)
-    return StateField(v, field.grid, field.spec)
 
 
 def free_mask(grid: SpaceTimeGrid, data: BoundaryData) -> np.ndarray:

@@ -203,10 +203,17 @@ def node_mass(grid: SpaceTimeGrid, spec: SystemSpec) -> np.ndarray:
 
 def curvature_estimate(grid: SpaceTimeGrid, spec: SystemSpec,
                        eps: float, beta: float) -> float:
-    """Upper bound on the preconditioned Hessian diagonal, from the two
-    dominant quadratic terms (time stencil and spatial stencil) plus the
-    penalty curvature on the box."""
-    L = sum((8.0 * eps / h**2 for _, h in grid.axes), 8.0 / grid.dt**2)
+    """Upper bound on the preconditioned Hessian diagonal of the space-time
+    functional: the time stencil's 8 / dt^2 plus ``curvature_bound``."""
+    return curvature_bound(grid, spec, eps, beta, 8.0 / grid.dt**2)
+
+
+def curvature_bound(grid: SpaceTimeGrid, spec: SystemSpec, eps: float,
+                    beta: float, L: float = 0.0) -> float:
+    """L plus the curvature bounds of eps times the spatial stencil and of
+    eps times the penalty on the box.  With eps = 1 and L = 0 it bounds the
+    stationary energy without its reaction term."""
+    L = sum((8.0 * eps / h**2 for _, h in grid.axes), L)
     if beta > 0:
         row = float(np.max(np.sum(np.abs(spec.A), axis=1)))
         L += 6.0 * eps * beta * row

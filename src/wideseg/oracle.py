@@ -8,7 +8,9 @@ choices with the space-time functional beyond the mesh itself.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -20,7 +22,9 @@ from .functional import (
 )
 from .grid import SpaceTimeGrid, resample_in_time
 from .model import BoundaryData, SystemSpec
-from .optimizer import OptimizerConfig, minimize, projected_bb
+from .optimizer import (
+    OptimizerConfig, curvature_bound, minimize, projected_bb,
+)
 
 
 @dataclass
@@ -51,15 +55,9 @@ def _reaction_slope_bound(spec: SystemSpec) -> float:
 
 
 def _stiffness(grid: SpaceTimeGrid):
-    """P1 stiffness matrix on the full node set (boundary rows included)."""
-    if grid.dim == 1:
-        n = grid.nx + 2
-        main = np.full(n, 2.0 / grid.dx)
-        main[0] = main[-1] = 1.0 / grid.dx
-        off = np.full(n - 1, -1.0 / grid.dx)
-        return sp.diags([off, main, off], [-1, 0, 1], format="csr")
-    nx, ny = grid.nx + 2, grid.ny + 2
-
+    """P1 stiffness matrix on the full node set (boundary rows included):
+    the sum over axes of the line stiffness on that axis times the lumped
+    mass on the others."""
     def line(n, h):
         main = np.full(n, 2.0 / h)
         main[0] = main[-1] = 1.0 / h
@@ -71,9 +69,12 @@ def _stiffness(grid: SpaceTimeGrid):
         m[0] = m[-1] = 0.5 * h
         return sp.diags(m)
 
-    Kx, Ky = line(nx, grid.dx), line(ny, grid.dy)
-    Mx, My = lumped(nx, grid.dx), lumped(ny, grid.dy)
-    return (sp.kron(Kx, My) + sp.kron(Mx, Ky)).tocsr()
+    terms = [
+        reduce(sp.kron, [(line if b == a else lumped)(n, h)
+                         for b, (n, h) in enumerate(grid.axes)])
+        for a in range(grid.dim)
+    ]
+    return reduce(operator.add, terms).tocsr()
 
 
 def step_parabolic(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
@@ -208,9 +209,7 @@ def minimize_elliptic(spec: SystemSpec, data: BoundaryData,
     def grad_fn(w):
         return potential_gradient(w[:, None], grid, spec, beta)[:, 0]
 
-    L = sum(8.0 / h**2 for _, h in grid.axes)
-    if beta > 0:
-        L += 6.0 * beta * float(np.max(np.sum(np.abs(spec.A), axis=1)))
+    L = curvature_bound(grid, spec, 1.0, beta)
     L += 2.0 * _reaction_slope_bound(spec)
 
     w, info = projected_bb(w0, value_fn, grad_fn, mass, cfg, L, change_fn)

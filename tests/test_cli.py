@@ -182,3 +182,22 @@ class TestPipeline:
         assert main(["report", "--artifacts", str(out)]) == 0
         txt = capsys.readouterr().out
         assert "level_table.csv" in txt
+
+
+def test_2d_run_writes_field_csv(tmp_path):
+    # the smallest 2-D pipeline: the ladder, the checks (weak inequalities
+    # on the 2-D path included) and the (t, x, y) field snapshot
+    cfg = BASE_CFG.replace("dim = 1\nnx = 15\n", "dim = 2\nnx = 5\nny = 5\n")
+    cfg = cfg.replace("nt = 21", "nt = 11")
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(write_cfg(tmp_path, cfg)),
+                 "--out", str(out)])
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["grid"]["dim"] == 2
+    assert "weak_inequalities" in summary["verdicts"]
+    if code != 0:
+        assert code == 1 and summary["failed_stage"].startswith("check:")
+    rows = (out / "w_field.csv").read_text().splitlines()
+    assert rows[0] == "t,x,y,v1,v2"
+    n_taus = len({row.split(",")[0] for row in rows[1:]})
+    assert len(rows) - 1 == n_taus * 7 * 7

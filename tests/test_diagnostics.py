@@ -39,31 +39,70 @@ class TestOverlap:
         assert integ == 0.0 and sup == 0.0
 
 
+#: a 1-D grid and a non-square 2-D grid for the dimension-generic checks
+WEAK_GRIDS = {
+    "1d": build_grid(1, 15, 1.0, 21, T_R),
+    "2d": build_grid(2, 9, 1.0, 21, T_R, ny=7, Ly=0.8),
+}
+
+
 class TestBumpLattice:
     def test_counts_and_support(self):
-        g, _, _ = setup()
-        lat = build_lattice(g, 0.0, 2.0, n_x=5, n_t=3, scales=(0.12, 0.2))
-        assert len(lat.bumps) == 30 and lat.skipped == 0
-        for b in lat.bumps:
-            assert b.rx < b.xc < g.Lx - b.rx
-            assert b.rt < b.tc - 0.0 and b.tc + b.rt < 2.0
+        for name, g in WEAK_GRIDS.items():
+            lat = build_lattice(g, 0.0, 2.0, n_x=5, n_t=3, scales=(0.12, 0.2))
+            assert len(lat.bumps) == 2 * 5 ** g.dim * 3, name
+            assert lat.skipped == 0, name
+            for b in lat.bumps:
+                assert b.rx < b.xc < g.Lx - b.rx
+                assert b.rt < b.tc - 0.0 and b.tc + b.rt < 2.0
+                if g.dim == 2:
+                    assert b.ry < b.yc < g.Ly - b.ry
 
     def test_oversized_scale_skipped(self):
         g, _, _ = setup()
         lat = build_lattice(g, 0.0, 2.0, n_x=5, n_t=3, scales=(0.12, 0.6))
         assert len(lat.bumps) == 15 and lat.skipped == 15
+        # n_x centres per spatial axis: a 1-D grid has no y axis to count
+        for name, g in WEAK_GRIDS.items():
+            lat = build_lattice(g, 0.0, 2.0, n_x=3, n_t=2,
+                                scales=(0.12, 0.2, 0.6))
+            assert lat.skipped == 3 ** g.dim * 2, name
 
     def test_bump_calculus(self):
+        g = build_grid(1, 7, 1.0, 11, T_R)     # nodes at multiples of 1/8
         b = Bump(xc=0.5, rx=0.25, tc=1.0, rt=0.5)
-        x = np.array([0.5, 0.25, 0.75, 0.0])
-        bx, dbx = b.space_parts(x)
-        np.testing.assert_allclose(bx, [1.0, 0.0, 0.0, 0.0], atol=1e-15)
-        assert dbx[0] == 0.0
+        eta, _ = b.space_parts(g)
+        np.testing.assert_allclose(eta[[4, 2, 6, 0]], [1.0, 0.0, 0.0, 0.0],
+                                   atol=1e-15)
+        # the slope vanishes at the centre, here the midpoint of edge 4
+        _, slope = Bump(xc=0.5625, rx=0.25, tc=1.0, rt=0.5).space_parts(g)
+        assert slope[4] == 0.0
         # slope peaks at 8/(3 sqrt 3) / rx in profile coordinates
-        s = np.linspace(-1, 1, 4001)
-        _, d = b.space_parts(0.5 + 0.25 * s)
+        _, d = b.space_parts(build_grid(1, 3999, 1.0, 11, T_R))
         assert np.max(np.abs(d)) <= 8.0 / (3.0 * np.sqrt(3.0)) / 0.25 + 1e-6
         assert b.support_measure == pytest.approx(0.5 * 1.0)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_edge_slopes_match_gradient_of_nodal_bump(self, dim):
+        # the analytic slopes sit on G's rows: when every support edge is
+        # a node, G eta differs from them by at most the midpoint rule's
+        # h^2/24 max|eta'''| = h^2 / r^3 per axis; a misordered or
+        # transposed slope vector is off by O(1)
+        if dim == 1:
+            g = build_grid(1, 63, 1.0, 11, T_R)
+            b = Bump(xc=0.5, rx=0.25, tc=1.0, rt=0.5)
+        else:
+            g = build_grid(2, 63, 1.0, 11, T_R, ny=47, Ly=0.9)
+            b = Bump(xc=0.5, rx=0.25, tc=1.0, rt=0.5,
+                     yc=24 * g.dy, ry=10 * g.dy)
+        eta, slope = b.space_parts(g)
+        assert eta.shape == g.space_shape
+        err = np.abs(g.gradient(eta) - slope)
+        n_x = (g.nx + 1) * int(np.prod(g.space_shape[1:]))   # x-edges
+        assert err[:n_x].max() <= g.dx**2 / b.rx**3
+        if dim == 2:
+            assert err[n_x:].max() <= g.dy**2 / b.ry**3
+        assert np.abs(slope).max() > 1.0
 
 
 class TestWeakInequalities:
@@ -82,26 +121,85 @@ class TestWeakInequalities:
 
     def test_constant_one_cubic_is_equilibrium(self):
         # v = 1 with cubic reaction: f(1) = 0, all pairings vanish
-        g = build_grid(1, 15, 1.0, 21, T_R)
         from wideseg.model import ReactionFamily
         spec = SystemSpec.make(1, [[0.0]], [ReactionFamily("cubic", 1.0)])
         taus = np.linspace(0.0, 2.0, 21)
-        vals = np.ones((1, 21, 17))
-        lat = build_lattice(g, 0.0, 2.0)
-        rep = check_weak_inequalities(vals, taus, g, spec, 0.0, lat)
-        np.testing.assert_allclose(rep.A, 0.0, atol=1e-14)
-        np.testing.assert_allclose(rep.B, 0.0, atol=1e-14)
+        for name, g in WEAK_GRIDS.items():
+            vals = np.ones((1, 21) + g.space_shape)
+            lat = build_lattice(g, 0.0, 2.0)
+            rep = check_weak_inequalities(vals, taus, g, spec, 0.0, lat)
+            assert rep.A.shape == (1, len(lat.bumps)), name
+            np.testing.assert_allclose(rep.A, 0.0, atol=1e-14, err_msg=name)
+            np.testing.assert_allclose(rep.B, 0.0, atol=1e-14, err_msg=name)
 
     def test_single_species_B_equals_A(self):
         # with one species the hatted field is the field itself
-        g = build_grid(1, 7, 1.0, 11, T_R)
         spec = SystemSpec.make(1, [[0.0]])
-        taus = np.linspace(0.0, 2.0, 11)
+        taus = np.linspace(0.0, 2.0, 21)
         rng = np.random.default_rng(0)
-        vals = rng.uniform(0, 1, (1, 11, 9))
+        for name, g in WEAK_GRIDS.items():
+            vals = rng.uniform(0, 1, (1, 21) + g.space_shape)
+            lat = build_lattice(g, 0.0, 2.0, n_x=3, n_t=2, scales=(0.2,))
+            rep = check_weak_inequalities(vals, taus, g, spec, 0.0, lat)
+            assert np.abs(rep.A).max() > 0.0, name
+            np.testing.assert_allclose(rep.B, rep.A, rtol=1e-12,
+                                       err_msg=name)
+
+    def test_matches_loop_reference_2d(self):
+        # loop form of every pairing on a non-square 2-D grid: per-axis
+        # differences, per-field and per-bump sums, species and hatted
+        # fields formed one at a time
+        def prof(s):
+            return np.where(np.abs(s) < 1.0, (1.0 - s * s) ** 2, 0.0)
+
+        def dprof(s):
+            return np.where(np.abs(s) < 1.0, -4.0 * s * (1.0 - s * s), 0.0)
+
+        def pairing(v, f, b):
+            dtau = np.diff(taus)
+            tm = 0.5 * (taus[:-1] + taus[1:])
+            ct = np.zeros_like(taus)
+            ct[:-1] += 0.5 * dtau
+            ct[1:] += 0.5 * dtau
+            px, py = prof((g.x - b.xc) / b.rx), prof((g.y - b.yc) / b.ry)
+            xm, ym = 0.5 * (g.x[:-1] + g.x[1:]), 0.5 * (g.y[:-1] + g.y[1:])
+            eta = g.space_weights * np.outer(px, py)
+            ex = np.outer(dprof((xm - b.xc) / b.rx) / b.rx, py)
+            ey = np.outer(px, dprof((ym - b.yc) / b.ry) / b.ry)
+            W = g.dirichlet_operator[1]
+            ex *= W[:ex.size].reshape(ex.shape)
+            ey *= W[ex.size:].reshape(ey.shape)
+            total = 0.0
+            for j in range(len(taus)):
+                total += ct[j] * prof((taus[j] - b.tc) / b.rt) * (
+                    np.sum(np.diff(v[j], axis=0) / g.dx * ex)
+                    + np.sum(np.diff(v[j], axis=1) / g.dy * ey)
+                    - np.sum(f[j] * eta))
+            for j in range(len(taus) - 1):
+                s = (tm[j] - b.tc) / b.rt
+                total += dtau[j] * (prof(s) + eps * dprof(s) / b.rt) \
+                    * np.sum((v[j + 1] - v[j]) / dtau[j] * eta)
+            return total
+
+        from wideseg.model import ReactionFamily
+        g = WEAK_GRIDS["2d"]
+        spec = SystemSpec.make(2, [[0, 1], [1, 0]],
+                               [ReactionFamily("cubic", 1.0)] * 2)
+        taus = np.linspace(0.0, 2.0, 21)
+        eps = 0.1
+        vals = np.random.default_rng(5).uniform(0, 1, (2, 21) + g.space_shape)
+        fvals = spec.f_all(vals)
         lat = build_lattice(g, 0.0, 2.0, n_x=3, n_t=2, scales=(0.2,))
-        rep = check_weak_inequalities(vals, taus, g, spec, 0.0, lat)
-        np.testing.assert_allclose(rep.B, rep.A, rtol=1e-12)
+        rep = check_weak_inequalities(vals, taus, g, spec, eps, lat)
+        for i in range(2):
+            for n, b in enumerate(lat.bumps):
+                a_ref = pairing(vals[i], fvals[i], b)
+                b_ref = pairing(vals[i] - vals[1 - i], fvals[i] - fvals[1 - i],
+                                b)
+                assert rep.A[i, n] == pytest.approx(a_ref, rel=1e-12,
+                                                    abs=1e-15)
+                assert rep.B[i, n] == pytest.approx(b_ref, rel=1e-12,
+                                                    abs=1e-15)
 
     def test_tolerance_scales_with_mesh(self):
         g_coarse = build_grid(1, 7, 1.0, 11, T_R)
