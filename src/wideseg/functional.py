@@ -13,6 +13,13 @@ the potential slice energy
 at the two bounding time nodes.  Spatial quadrature is trapezoidal at nodes
 for the pointwise terms; the gradient term is sum_e W_e (G u)_e^2 with the
 grid's ``dirichlet_operator`` (G, W), so its gradient is 2 G^T (W G u).
+
+Summed over cells, the kinetic and Dirichlet terms are the fixed quadratic
+form sum_i 1/2 u_i^T Q u_i of the grid's ``quadratic_operator(eps)``, and
+the reaction and penalty terms are pointwise with the node weights.  The
+gradient and the step change read Q; the values keep the per-cell
+stencils, ``eval_J`` because ``EnergyTrace`` needs I per cell and R per
+slice, ``eval_J_value`` for its round-off.
 """
 
 from __future__ import annotations
@@ -45,12 +52,7 @@ class EnergyTrace:
 def penalty_density(values: np.ndarray, A: np.ndarray) -> np.ndarray:
     """<v^2, A v^2> pointwise; values has shape (k, ...)."""
     v2 = values * values
-    return np.einsum("i...,ij,j...->...", v2, A, v2)
-
-
-def _time_expand(arr: np.ndarray, n_space_axes: int) -> np.ndarray:
-    """Reshape a (nt,)-like array for broadcasting over spatial axes."""
-    return arr.reshape(arr.shape + (1,) * n_space_axes)
+    return np.einsum("i...,i...->...", v2, np.tensordot(A, v2, axes=1))
 
 
 def _slice_terms(values, grid: SpaceTimeGrid, spec: SystemSpec, beta: float):
@@ -95,13 +97,38 @@ def eval_J(field: StateField, eps: float, beta: float) -> EnergyTrace:
     return EnergyTrace(t=g.t, I=I, R=R, E=E, J=J)
 
 
+def _apply_quadratic(u: np.ndarray, grid: SpaceTimeGrid,
+                     eps: float) -> np.ndarray:
+    """Q u_i for every species i, in the shape of u (k, nt, *space)."""
+    Q = grid.quadratic_operator(eps)
+    out = np.empty_like(u)
+    for ui, oi in zip(u.reshape(len(u), -1), out.reshape(len(u), -1)):
+        oi[:] = Q @ ui
+    return out
+
+
 def eval_J_value(field: StateField, eps: float, beta: float) -> float:
-    """Functional value only (cheaper path for line searches)."""
+    """Functional value only (cheaper path for line searches).
+
+    Sums the per-cell squares of the stencils rather than 1/2 u.Qu: on a
+    smooth field the terms of Q u cancel, and a difference of two values of
+    1/2 u.Qu is then off by up to about 1.4e-14 |J| on the desk ladders,
+    more than ``optimizer.ROUNDOFF_RTOL`` allows.  It would be no faster.
+    """
     g = field.grid
     Rslice = slice_potential(field, eps, beta)
     R = 0.5 * (Rslice[:-1] + Rslice[1:])
     I = _kinetic_cells(field)
     return float(np.dot(g.cell_weights, I + R))
+
+
+def _penalty_change(u: np.ndarray, d: np.ndarray, p: np.ndarray,
+                    A: np.ndarray) -> np.ndarray:
+    """<b, A b> - <a, A a> pointwise for a = u^2, b = (u + d)^2 and
+    p = 2u + d, as <da, A(2a + da)> with da = d p (A symmetric)."""
+    da = d * p
+    return np.einsum("i...,i...->...", da,
+                     np.tensordot(A, 2.0 * u * u + da, axes=1))
 
 
 def slice_potential_change(u: np.ndarray, d: np.ndarray, grid: SpaceTimeGrid,
@@ -120,9 +147,7 @@ def slice_potential_change(u: np.ndarray, d: np.ndarray, grid: SpaceTimeGrid,
     sw = grid.space_weights
     F = np.tensordot(spec.F_sum_change(u, d), sw, axes=sw.ndim)
     if beta != 0.0:
-        da = d * p
-        dens = np.einsum("i...,ij,j...->...", da, spec.A, 2.0 * u * u + da)
-        P = np.tensordot(dens, sw, axes=sw.ndim)
+        P = np.tensordot(_penalty_change(u, d, p, spec.A), sw, axes=sw.ndim)
     else:
         P = np.zeros(u.shape[1])
     return D - 2.0 * F + 0.5 * beta * P
@@ -136,18 +161,18 @@ def eval_J_change(field: StateField, d: np.ndarray, eps: float,
     round-off of J itself (a step confined to late time slices, whose
     weight is about e^{-T_r}, changes J by less than its ulp), so
     ``eval_J_value(u + d) - eval_J_value(u)`` is noise there.  Here the
-    kinetic part is w (2 du + dd) dd per cell and the potential part is
-    ``slice_potential_change``; both are exactly 0 where d is.
+    quadratic part is 1/2 d . Q(2u + d), the reaction part is
+    ``F_sum_change`` and the penalty part ``<da, A(2a + da)>``: every term
+    carries d as a factor, so it is exactly 0 where d is.
     """
     g = field.grid
     u = field.values
     p = 2.0 * u + d
-    sw = g.space_weights
-    kin = np.sum((p[:, 1:] - p[:, :-1]) * (d[:, 1:] - d[:, :-1]), axis=0)
-    dI = np.tensordot(kin, sw, axes=sw.ndim) / g.dt**2
-    dRs = eps * slice_potential_change(u, d, g, field.spec, beta)
-    dR = 0.5 * (dRs[:-1] + dRs[1:])
-    return float(np.dot(g.cell_weights, dI + dR))
+    quad = 0.5 * np.sum(d * _apply_quadratic(p, g, eps))
+    dens = -2.0 * field.spec.F_sum_change(u, d)
+    if beta != 0.0:
+        dens += 0.5 * beta * _penalty_change(u, d, p, field.spec.A)
+    return float(quad + eps * np.sum(g.node_weights * dens))
 
 
 def potential_gradient(u: np.ndarray, g: SpaceTimeGrid, spec: SystemSpec,
@@ -178,21 +203,12 @@ def grad_J(field: StateField, eps: float, beta: float,
     g = field.grid
     spec = field.spec
     u = field.values
-    sw = g.space_weights
-    nsp = sw.ndim
-
-    # kinetic part: d/du sum_j w_j sum_x m_x |du_j|^2 / dt^2
-    du = gridmod.discrete_time_derivative(field)
-    flux = (2.0 / g.dt) * du * _time_expand(g.cell_weights, nsp) * sw
-    out = np.zeros_like(u)
-    out[:, :-1] -= flux
-    out[:, 1:] += flux
-
-    # potential part: every node j carries coefficient eps * c_j
-    gpot = potential_gradient(u, g, spec, beta)
-    out += eps * _time_expand(g.node_time_weights, nsp) * gpot
-
-    out[:, ~gridmod.free_mask(g, data)] = 0.0
+    pot = -2.0 * spec.f_all(u)
+    if beta != 0.0:
+        pot += 2.0 * beta * u * np.tensordot(spec.A, u * u, axes=1)
+    out = _apply_quadratic(u, g, eps)
+    out += eps * g.node_weights * pot
+    np.copyto(out, 0.0, where=g.pinned(data))
     return out
 
 

@@ -43,6 +43,11 @@ class SpaceTimeGrid:
     boundary_mask: np.ndarray = field(init=False)
     tail_mass: float = field(init=False)
     tail_ok: bool = field(init=False)
+    # (eps, Q) of the latest quadratic_operator call; pinned masks by mode
+    _quadratic: tuple = field(init=False, default=None, repr=False,
+                              compare=False)
+    _pinned: dict = field(init=False, default_factory=dict, repr=False,
+                          compare=False)
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
@@ -120,10 +125,44 @@ class SpaceTimeGrid:
             # form took its cross-axis weights from the boundary row of the
             # trapezoid weights, so it is half of int |grad u|^2 (ROADMAP 6).
             # This is the only site of the half: the value, the gradient,
-            # the uniformity windows and the weak-inequality pairings all
-            # read W from here
+            # the space-time operator Q, the uniformity windows and the
+            # weak-inequality pairings all read W from here
             W = 0.5 * W
         return G, W
+
+    def quadratic_operator(self, eps: float):
+        """Sparse Q with sum_i 1/2 u_i^T Q u_i the functional's kinetic plus
+        eps times its Dirichlet term, u_i one species on the C-ordered
+        (time, *space) nodes:
+
+            Q = 2 [K_t (x) M_x + eps C_t (x) G^T W G],
+
+        K_t the time stiffness with weights cell_weights / dt^2, C_t the
+        node time weights, M_x the spatial weights and (G, W) the
+        ``dirichlet_operator``.  Q is symmetric with off-diagonals <= 0 and
+        Q 1 = 0.  Kept for the latest eps only.
+        """
+        if self._quadratic is None or self._quadratic[0] != eps:
+            G, W = self.dirichlet_operator
+            D_t = sp.diags_array([-1.0, 1.0], offsets=[0, 1],
+                                 shape=(self.nt - 1, self.nt))
+            K_t = D_t.T @ sp.diags_array(self.cell_weights / self.dt**2) @ D_t
+            S = G.T @ sp.diags_array(W) @ G
+            Q = 2.0 * (
+                sp.kron(K_t, sp.diags_array(self.space_weights.ravel()))
+                + eps * sp.kron(sp.diags_array(self.node_time_weights), S))
+            self._quadratic = (eps, Q.tocsr())
+        return self._quadratic[1]
+
+    def pinned(self, data: BoundaryData) -> np.ndarray:
+        """Read-only (nt, *space) mask of the nodes ``data`` pins, the
+        complement of ``free_mask``; cached per pinning mode."""
+        key = (data.pins_initial, data.pins_dirichlet)
+        if key not in self._pinned:
+            mask = ~free_mask(self, data)
+            mask.flags.writeable = False
+            self._pinned[key] = mask
+        return self._pinned[key]
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """G u on the trailing axes: (*lead, *space) -> (*lead, n_edges)."""

@@ -9,6 +9,7 @@ from wideseg.functional import (
 )
 from wideseg.grid import StateField, build_grid
 from wideseg.model import BoundaryData, ReactionFamily, SystemSpec, preset_v0
+from wideseg.optimizer import ROUNDOFF_RTOL
 
 T_R = 20.0
 WEIGHT_MASS = 1.0 - np.exp(-T_R)
@@ -92,29 +93,27 @@ class TestDirichletEnergy:
 
 
 class TestGradient:
+    @pytest.mark.parametrize("dim", [1, 2])
     @pytest.mark.parametrize("eps,beta", [(0.2, 10.0), (0.05, 1000.0)])
-    def test_matches_central_differences(self, eps, beta):
-        g, spec, data = make_setup(nx=7, nt=9)
-        rng = np.random.default_rng(11)
-        u = rng.uniform(0, 1, (2, 9, 9))
-        gridmod.impose_pins(u, g, data)
+    def test_matches_central_differences(self, eps, beta, dim):
+        g, spec, data, u = cubic_case(dim)
         grad = grad_J(StateField(u, g, spec), eps, beta, data)
-        fm = gridmod.free_mask(g, data)
+        rng = np.random.default_rng(11)
+        free = np.flatnonzero(
+            np.broadcast_to(gridmod.free_mask(g, data), u.shape))
         h = 1e-4
         fds, errs = [], []
-        for _ in range(40):
-            i, j, p = rng.integers(0, 2), rng.integers(0, 9), rng.integers(0, 9)
-            if not fm[j, p]:
-                continue
+        for n in rng.choice(free, size=40, replace=False):
+            idx = np.unravel_index(n, u.shape)
             up, um = u.copy(), u.copy()
-            up[i, j, p] += h
-            um[i, j, p] -= h
+            up[idx] += h
+            um[idx] -= h
             fd = (
                 eval_J_value(StateField(up, g, spec), eps, beta)
                 - eval_J_value(StateField(um, g, spec), eps, beta)
             ) / (2 * h)
             fds.append(abs(fd))
-            errs.append(abs(fd - grad[i, j, p]))
+            errs.append(abs(fd - grad[idx]))
         floor = 1e-3 * max(fds)
         assert max(e / max(f, floor) for e, f in zip(errs, fds)) < 1e-6
 
@@ -202,6 +201,58 @@ class TestChange:
         assert abs(change) < np.spacing(J)
         assert abs(full) <= 8 * np.spacing(J)
         assert change == pytest.approx(first_order, rel=1e-6)
+
+    @pytest.mark.parametrize("eps,beta", [(0.2, 1000.0), (0.05, 10.0)])
+    def test_value_difference_well_inside_roundoff_window(self, eps, beta):
+        # the descent trusts a difference of two full values whenever it
+        # lies further than ROUNDOFF_RTOL * |J| from the bound it is tested
+        # against, so on a smooth desk-size field that difference must be
+        # far more accurate; summed as 1/2 u.Qu instead of per-cell squares
+        # it is off by up to 5e-15 |J| here
+        g = build_grid(1, 63, 1.0, 201, T_R)
+        spec = SystemSpec.make(2, [[0, 1], [1, 0]])
+        data = BoundaryData.make(preset_v0("two_ramp", g.x_field(), 2))
+        u = np.broadcast_to(data.v0[:, None], (2, g.nt, g.nx + 2)).copy()
+        bump = np.sin(np.pi * g.x)[None, :] * np.exp(-0.3 * g.t)[:, None]
+        u += 0.1 * bump * (data.v0[:, None] > 0)
+        f = StateField(u, g, spec)
+        J = eval_J_value(f, eps, beta)
+        rng = np.random.default_rng(0)
+        worst = 0.0
+        for _ in range(20):
+            d = rng.normal(0.0, 1e-6, u.shape)
+            d[:, ~gridmod.free_mask(g, data)] = 0.0
+            full = eval_J_value(StateField(u + d, g, spec), eps, beta) - J
+            worst = max(worst, abs(full - eval_J_change(f, d, eps, beta)))
+        assert worst <= 0.1 * ROUNDOFF_RTOL * abs(J)
+
+
+class TestQuadraticForm:
+    """The gradient and the change read the grid's quadratic operator Q;
+    the value and eval_J sum the same J from per-cell stencils."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_half_uQu_is_J_without_reactions(self, dim):
+        # nt = 41 gives dt = 0.5, so a wrong power of dt in Q shows
+        if dim == 1:
+            g = build_grid(1, 15, 1.0, 41, T_R)
+        else:
+            g = build_grid(2, 7, 1.0, 41, T_R, ny=5, Ly=0.8)
+        k = dim + 1
+        spec = SystemSpec.make(k, np.ones((k, k)) - np.eye(k))
+        u = np.random.default_rng(5).uniform(0, 1, (k, g.nt) + g.space_shape)
+        Q = g.quadratic_operator(0.1)
+        U = u.reshape(k, -1)
+        quad = 0.5 * sum(float(ui @ (Q @ ui)) for ui in U)
+        assert quad == pytest.approx(
+            eval_J(StateField(u, g, spec), 0.1, 0.0).J, rel=1e-13)
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_value_matches_eval_J(self, dim):
+        g, spec, _, u = cubic_case(dim)
+        f = StateField(u, g, spec)
+        assert eval_J_value(f, 0.1, 50.0) == pytest.approx(
+            eval_J(f, 0.1, 50.0).J, rel=1e-13)
 
 
 class TestInvariances:

@@ -169,6 +169,30 @@ class TestCellGradient:
         np.testing.assert_array_equal(W, factor * W_true)
 
 
+class TestQuadraticOperator:
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_symmetric_m_matrix_pattern(self, name):
+        # the kinetic and Dirichlet form: symmetric, off-diagonals <= 0 and
+        # constants in its kernel
+        g = GRIDS[name]
+        Q = g.quadratic_operator(0.1)
+        n = g.nt * g.space_weights.size
+        assert Q.shape == (n, n)
+        assert (Q != Q.T).nnz == 0
+        off = Q - sp.diags_array(Q.diagonal())
+        assert off.max() <= 0.0
+        np.testing.assert_allclose(Q @ np.ones(n), 0.0, rtol=0,
+                                   atol=1e-14 * abs(Q).max())
+
+    def test_kept_for_latest_eps(self):
+        g = build_grid(1, 9, 1.0, 5, 20.0)
+        Q1 = g.quadratic_operator(0.1)
+        assert g.quadratic_operator(0.1) is Q1
+        Q2 = g.quadratic_operator(0.2)
+        assert Q2 is not Q1 and g.quadratic_operator(0.2) is Q2
+        assert g.quadratic_operator(0.1) is not Q1
+
+
 class TestConstraints:
     def setup_method(self):
         self.g = small_grid()

@@ -5,8 +5,8 @@ from wideseg.functional import eval_J_value
 from wideseg.grid import StateField, build_grid
 from wideseg.model import BoundaryData, SystemSpec, preset_v0
 from wideseg.optimizer import (
-    OptimizerConfig, curvature_estimate, default_init, minimize, node_mass,
-    projected_bb,
+    OptimizerConfig, _kkt_norm, curvature_estimate, default_init, minimize,
+    node_mass, projected_bb,
 )
 
 T_R = 20.0
@@ -134,6 +134,31 @@ class TestMinimize:
         assert info["converged"] and info["iters"] > 0
         np.testing.assert_array_equal(x[mass == 0], x0[mass == 0])
         assert np.all(x[mass > 0] < 1e-5)
+
+
+class TestKKT:
+    def test_blocked_directions_drop_out(self):
+        # a positive entry at x = 0 and a negative one at x = 1 push out of
+        # the box and do not count; the inward ones and interior ones do
+        x = np.array([0.0, 0.0, 1.0, 1.0, 0.5])
+        gh = np.array([1.0, -2.0, -3.0, 4.0, -5.0])
+        assert _kkt_norm(x, gh) == 5.0
+        assert _kkt_norm(x[:4], gh[:4]) == 4.0
+        assert _kkt_norm(x[[0, 2]], gh[[0, 2]]) == 0.0
+
+    def test_target_outside_box_converges_to_clipped_point(self):
+        # separable quadratic whose minimizer lies outside [0, 1] on both
+        # sides: the gradient stays nonzero at the solution, so convergence
+        # needs the blocked components dropped
+        target = np.array([-0.5, 0.3, 1.7, 0.9, -2.0, 2.0])
+        x, info = projected_bb(
+            np.full(6, 0.5), lambda x: 0.5 * float(np.sum((x - target) ** 2)),
+            lambda x: x - target, np.ones(6), OptimizerConfig(), 1.0,
+            lambda x, d: float(np.sum((x - target) * d + 0.5 * d * d)),
+        )
+        assert info["converged"] and info["stop_reason"] == "converged"
+        np.testing.assert_allclose(x, np.clip(target, 0.0, 1.0), rtol=0,
+                                   atol=1e-5)
 
 
 class TestHelpers:

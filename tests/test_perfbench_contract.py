@@ -17,7 +17,7 @@ sys.path.insert(0, str(REPO / "perfbench"))
 
 import spans  # noqa: E402
 import worker  # noqa: E402
-from wideseg import continuation, oracle  # noqa: E402
+from wideseg import continuation, optimizer, oracle  # noqa: E402
 from wideseg.grid import build_grid  # noqa: E402
 from wideseg.model import BoundaryData, SystemSpec, preset_v0  # noqa: E402
 from wideseg.optimizer import OptimizerConfig  # noqa: E402
@@ -59,3 +59,19 @@ def test_ladders_are_captured_as_rungs():
                      "elliptic", "elliptic", "elliptic"]
     assert [r.beta for r in tracer.rungs] == [10.0, 100.0, 0.0] * 2
     assert np.all(np.isnan([r.eps for r in tracer.rungs[3:]]))
+
+
+def test_functional_calls_are_traced():
+    # the functional.* layer metrics count the spans of the value and
+    # gradient that the descent calls through optimizer.eval_J_value and
+    # optimizer.grad_J; calls that bypass those names would read 0
+    grid = build_grid(1, 7, 1.0, 11, 20.0)
+    spec = SystemSpec.make(2, [[0, 1], [1, 0]])
+    data = BoundaryData.make(preset_v0("two_ramp", grid.x_field(), 2))
+    tracer = spans.Tracer(full=True)
+    with spans.instrument(tracer):
+        optimizer.minimize(spec, data, grid, 0.1, 10.0,
+                           OptimizerConfig(max_iters=20))
+    m = spans.layer_metrics(tracer)
+    assert m["functional.value_calls"] > 0
+    assert m["functional.grad_calls"] > 0
