@@ -324,10 +324,10 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
               energy_rows)
 
     e_ok = i_ok = True
+    cap_per_eps = (competitor_value(data, grid, spec, 1.0)
+                   + spec.M_bound * grid.volume)
     for row in energy_rows:
-        eps = row[0]
-        cap = eps * (competitor_value(data, grid, spec, 1.0)
-                     + spec.M_bound * grid.volume)
+        cap = row[0] * cap_per_eps
         e_ok &= row[4] <= cap * 1.02 + 1e-6
         i_ok &= row[5] <= 0.5 * cap * 1.02 + 1e-6
     verdicts["energy_integral_bounds"] = bool(e_ok and i_ok)
@@ -419,14 +419,12 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
 
     if rc.run_elliptic:
         log(f"[{rc.name}] elliptic equivalence and ladder")
-        data_g = BoundaryData.make(np.array(data.v0), "dirichlet_only")
+        data_g = _dirichlet_only(data)
         eq = oracle_mod.check_elliptic_equivalence(
             spec, data_g, grid, rc.ladder.epsilons[1], rc.ladder.betas[1],
             rc.optimizer,
         )
-        lad = oracle_mod.elliptic_beta_ladder(
-            spec, data_g, grid, rc.ladder.betas, rc.optimizer
-        )
+        lad = _elliptic_ladder(rc, grid, data_g, out_dir)
         slat = diag.build_lattice(grid, 0.0, 1.0, rc.n_x_bumps, 1, rc.scales)
         srep = diag.check_stationary_inequalities(
             lad["w_segregated"], grid, spec, slat, rc.c_w
@@ -446,10 +444,6 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
             "stationary_inequalities_passed": srep.passed,
             "energies": [r.energy for r in lad["results"]],
         }
-        write_csv(out_dir / "elliptic_ladder.csv",
-                  ["beta", "overlap", "energy"],
-                  [[b, o, r.energy] for b, o, r in
-                   zip(lad["betas"], lad["overlaps"], lad["results"])])
 
     _write_summary(out_dir, summary)
     failed = [k for k, v in verdicts.items() if not v]
@@ -460,6 +454,24 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
         return 1, summary
     log(f"[{rc.name}] all checks passed")
     return 0, summary
+
+
+def _dirichlet_only(data: BoundaryData) -> BoundaryData:
+    """v0 with only its Dirichlet trace pinned, for the stationary checks."""
+    return BoundaryData.make(np.array(data.v0), "dirichlet_only")
+
+
+def _elliptic_ladder(rc: RunConfig, grid: SpaceTimeGrid,
+                     data_g: BoundaryData, out_dir: Path) -> dict:
+    """The stationary beta ladder, written to ``elliptic_ladder.csv``."""
+    lad = oracle_mod.elliptic_beta_ladder(
+        rc.spec, data_g, grid, rc.ladder.betas, rc.optimizer
+    )
+    write_csv(out_dir / "elliptic_ladder.csv",
+              ["beta", "overlap", "energy"],
+              [[b, o, r.energy] for b, o, r in
+               zip(lad["betas"], lad["overlaps"], lad["results"])])
+    return lad
 
 
 def _write_summary(out_dir: Path, summary: dict) -> None:
@@ -511,16 +523,9 @@ def cmd_oracle(args) -> int:
 def cmd_elliptic(args) -> int:
     rc = _load_rc(args)
     grid, data = make_inputs(rc)
-    data_g = BoundaryData.make(np.array(data.v0), "dirichlet_only")
-    lad = oracle_mod.elliptic_beta_ladder(
-        rc.spec, data_g, grid, rc.ladder.betas, rc.optimizer
-    )
     out = Path(rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_csv(out / "elliptic_ladder.csv",
-              ["beta", "overlap", "energy"],
-              [[b, o, r.energy] for b, o, r in
-               zip(lad["betas"], lad["overlaps"], lad["results"])])
+    lad = _elliptic_ladder(rc, grid, _dirichlet_only(data), out)
     print(f"overlap decay ratio = {lad['decay_ratio']:.17g}")
     return 0 if lad["all_converged"] else 1
 

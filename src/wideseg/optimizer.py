@@ -231,14 +231,11 @@ def curvature_bound(grid: SpaceTimeGrid, spec: SystemSpec, eps: float,
 
 def default_init(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
                  mode: str = "competitor", seed: int = 0) -> StateField:
-    """Starting fields: the time-constant extension of v0 (``competitor``),
-    seeded segregation-respecting noise (``random``), or zeros with traces
-    re-imposed (``zero``)."""
+    """Starting fields: the time-constant extension of v0 (``competitor``)
+    or seeded segregation-respecting noise (``random``), traces re-imposed."""
     shape = (spec.k, grid.nt) + grid.space_shape
     if mode == "competitor":
         vals = np.broadcast_to(data.v0[:, None], shape).copy()
-    elif mode == "zero":
-        vals = np.zeros(shape)
     elif mode == "random":
         rng = np.random.default_rng(seed)
         noise = rng.uniform(0.0, 1.0, size=shape)

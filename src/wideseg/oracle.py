@@ -1,20 +1,23 @@
 """Reference solvers for cross-validation of the variational pipeline.
 
-Two independent oracles: an IMEX time-stepper for the competing-species
-parabolic system in original time, and a direct projected-gradient
-minimizer of the stationary spatial energy.  Neither shares discretization
-choices with the space-time functional beyond the mesh itself.
+Two oracles: an IMEX time-stepper for the competing-species parabolic
+system in original time, and a projected-gradient minimizer of the
+stationary spatial energy.  Only the IMEX march is independent of the
+space-time functional: it assembles its own P1 stiffness and shares
+nothing with it beyond the mesh.  The stationary minimizer reuses the
+functional's slice terms, hence ``dirichlet_operator`` (with its factor
+1/2 in 2-D), and the ``projected_bb`` descent core.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg, spsolve
+from scipy.sparse.linalg import spsolve
 
 from .continuation import original_time_l2, segregated_ladder, to_original_time
 from .functional import (
@@ -32,7 +35,6 @@ class ParabolicRun:
     taus: np.ndarray            # (n_steps + 1,) original-time nodes
     values: np.ndarray          # (k, n_steps + 1, *space)
     beta: float
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -83,8 +85,11 @@ def step_parabolic(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
 
     Crank-Nicolson for diffusion, explicit reaction, and the penalty's
     diagonal factor implicit so the admissible step is beta-independent;
-    values are clipped to [0, 1] after each step.  Lumped-mass P1 in space,
-    direct tridiagonal solves in 1-D and conjugate gradients in 2-D.
+    values are clipped to [0, 1] after each step.  Lumped-mass P1 in space.
+    The matrix M/dtau + K/2 is assembled once, with identity rows at the
+    pinned Dirichlet nodes; each step and species rewrites only its diagonal
+    with the penalty term and makes one direct sparse solve, in any
+    dimension.
     """
     slope = _reaction_slope_bound(spec)
     if dtau * slope > 0.5 + 1e-12:
@@ -95,51 +100,37 @@ def step_parabolic(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
     K = _stiffness(grid)
     m = grid.space_weights.ravel()
     n = m.size
-    bnd = grid.boundary_mask.ravel()
-    pin = data.pins_dirichlet
-    g0 = data.v0.reshape(spec.k, n)[:, bnd]
+    pinned = grid.boundary_mask.ravel() & data.pins_dirichlet
+    free = 1.0 - pinned
+    Mdiag = sp.diags(m)
+    rhs_op = Mdiag / dtau - 0.5 * K
+    # pinned rows become identity rows; free rows keep their entries as is
+    lhs = (sp.diags(free) @ (Mdiag / dtau + 0.5 * K)
+           + sp.diags(1.0 - free)).tocsc()
+    lhs.eliminate_zeros()
+    lhs.sort_indices()
+    cols = np.repeat(np.arange(n), np.diff(lhs.indptr))
+    diag = np.flatnonzero(lhs.indices == cols)
+    d0 = lhs.data[diag]
+    m_free = m * free
 
     v = data.v0.reshape(spec.k, n).copy()
+    trace = v[:, pinned]
     out = np.empty((spec.k, n_steps + 1, n))
     out[:, 0] = v
-    taus = dtau * np.arange(n_steps + 1)
-    Mdiag = sp.diags(m)
-    base_lhs = Mdiag / dtau + 0.5 * K
-    base_rhs_op = Mdiag / dtau - 0.5 * K
-
     for step in range(n_steps):
         cross = np.einsum("ij,jn->in", spec.A, v * v)   # (k, n)
-        fv = spec.f_all(v)
-        v_new = np.empty_like(v)
+        rhs = (rhs_op @ v.T).T + m * spec.f_all(v)
+        rhs[:, pinned] = trace
         for i in range(spec.k):
-            lhs = base_lhs + beta * sp.diags(m * cross[i])
-            rhs = base_rhs_op @ v[i] + m * fv[i]
-            if pin:
-                lhs = lhs.tolil()
-                lhs[bnd, :] = 0.0
-                lhs[bnd, np.flatnonzero(bnd)] = 1.0
-                lhs = lhs.tocsr()
-                rhs = rhs.copy()
-                rhs[bnd] = g0[i]
-            if grid.dim == 1:
-                v_new[i] = spsolve(lhs.tocsc(), rhs)
-            else:
-                sol, info = cg(lhs, rhs, x0=v[i], rtol=1e-10, maxiter=2000)
-                if info != 0:
-                    raise RuntimeError(
-                        f"CG failed at step {step}, component {i}: "
-                        f"info = {info}"
-                    )
-                v_new[i] = sol
-        v = np.clip(v_new, 0.0, 1.0)
-        out[:, step + 1] = v
+            lhs.data[diag] = d0 + beta * (m_free * cross[i])
+            out[i, step + 1] = spsolve(lhs, rhs[i])
+        v = out[:, step + 1] = np.clip(out[:, step + 1], 0.0, 1.0)
 
     return ParabolicRun(
-        taus=taus,
+        taus=dtau * np.arange(n_steps + 1),
         values=out.reshape((spec.k, n_steps + 1) + grid.space_shape),
         beta=beta,
-        meta={"scheme": "imex-cn", "dtau": dtau, "n_steps": n_steps,
-              "dirichlet": pin},
     )
 
 

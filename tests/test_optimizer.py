@@ -26,7 +26,7 @@ class TestMinimize:
     def test_zero_data_stays_zero(self):
         g, spec, _ = setup(nx=7, nt=11)
         data = BoundaryData.make(np.zeros((2, 9)), "dirichlet_and_initial")
-        res = minimize(spec, data, g, 0.1, 10.0, init="zero")
+        res = minimize(spec, data, g, 0.1, 10.0)
         assert res.converged
         assert res.trace.J == 0.0
         assert np.all(res.field.values == 0.0)

@@ -113,6 +113,23 @@ class TestParabolicStepper:
         assert rep["rows"][0]["discrepancy"] < 1.0
         assert rep["decreasing"]
 
+    def test_2d_march_of_x_only_data_matches_1d(self):
+        # without Dirichlet pins the y-direction is a no-flux direction, so
+        # data varying in x alone must march as in 1-D, column by column
+        cubic = [ReactionFamily("cubic", 1.0)] * 2
+        spec = SystemSpec.make(2, [[0, 1], [1, 0]], cubic)
+        g1 = build_grid(1, 15, 1.0, 5, T_R)
+        g2 = build_grid(2, 15, 1.0, 5, T_R, ny=6, Ly=0.7)
+        runs = [
+            step_parabolic(spec, BoundaryData.make(
+                preset_v0("two_ramp", g.x_field(), 2), "initial_only"),
+                g, 100.0, 1e-3, 200)
+            for g in (g1, g2)
+        ]
+        ref = runs[0].values[..., None]
+        assert runs[1].values.shape == (2, 201, 17, 8)
+        assert np.max(np.abs(runs[1].values - ref)) <= 1e-12
+
 
 class TestElliptic:
     def test_linear_ramp_is_exact_minimizer(self):
@@ -168,6 +185,10 @@ class TestElliptic:
         run = step_parabolic(spec, data, g, 10.0, 1e-3, 20)
         assert run.values.shape == (2, 21, 7, 7)
         assert run.values.min() >= 0.0 and run.values.max() <= 1.0
+        bm = g.boundary_mask
+        pinned = run.values[:, :, bm]
+        assert np.array_equal(
+            pinned, np.broadcast_to(v0[:, bm][:, None], pinned.shape))
 
 
 class TestEllipticEquivalence:

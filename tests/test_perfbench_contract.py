@@ -17,7 +17,8 @@ sys.path.insert(0, str(REPO / "perfbench"))
 
 import spans  # noqa: E402
 import worker  # noqa: E402
-from wideseg import continuation, optimizer, oracle  # noqa: E402
+from wideseg import cli, continuation, optimizer, oracle  # noqa: E402
+from wideseg.continuation import LadderSpec  # noqa: E402
 from wideseg.grid import build_grid  # noqa: E402
 from wideseg.model import BoundaryData, SystemSpec, preset_v0  # noqa: E402
 from wideseg.optimizer import OptimizerConfig  # noqa: E402
@@ -75,3 +76,25 @@ def test_functional_calls_are_traced():
     m = spans.layer_metrics(tracer)
     assert m["functional.value_calls"] > 0
     assert m["functional.grad_calls"] > 0
+
+
+def test_oracle_march_is_traced(tmp_path):
+    # oracle.march_steps reads the shape of the march's values and
+    # cli.stage.oracle_s starts at the march's span; a march that returns
+    # another shape or is no longer called through oracle_mod would
+    # misreport both
+    rc = cli.RunConfig(
+        name="tiny", spec=SystemSpec.make(2, [[0, 1], [1, 0]]),
+        preset="two_ramp", bc_mode="dirichlet_and_initial",
+        grid_kwargs={"dim": 1, "nx": 7, "Lx": 1.0, "nt": 11, "T_r": 20.0},
+        ladder=LadderSpec(betas=(10.0, 100.0), epsilons=(0.2, 0.1)),
+        optimizer=OptimizerConfig(max_iters=1500), n_x_bumps=3, n_t_bumps=2,
+        run_elliptic=False, oracle_dtau=1e-2,
+    )
+    tracer = spans.Tracer(full=True)
+    with spans.instrument(tracer):
+        cli.run_pipeline(rc, tmp_path, log=lambda msg: None)
+    m = spans.layer_metrics(tracer)
+    tau_max = 0.5 * min(rc.ladder.epsilons) * rc.grid_kwargs["T_r"]
+    assert m["oracle.march_steps"] == int(np.ceil(tau_max / rc.oracle_dtau))
+    assert m["cli.stage.oracle_s"] > 0
