@@ -62,8 +62,10 @@ def _slice_terms(values, grid: SpaceTimeGrid, spec: SystemSpec, beta: float):
     """
     D = grid.dirichlet_form(values).sum(axis=0)
     sw = grid.space_weights
-    Fnod = spec.F_sum(values)                     # (nt, *space)
-    F = np.tensordot(Fnod, sw, axes=sw.ndim)
+    if spec.reactive:
+        F = np.tensordot(spec.F_sum(values), sw, axes=sw.ndim)
+    else:
+        F = np.zeros(values.shape[1])
     if beta != 0.0:
         P = np.tensordot(penalty_density(values, spec.A), sw, axes=sw.ndim)
     else:
@@ -145,7 +147,10 @@ def slice_potential_change(u: np.ndarray, d: np.ndarray, grid: SpaceTimeGrid,
     p = 2.0 * u + d
     D = grid.dirichlet_form(p, d).sum(axis=0)
     sw = grid.space_weights
-    F = np.tensordot(spec.F_sum_change(u, d), sw, axes=sw.ndim)
+    if spec.reactive:
+        F = np.tensordot(spec.F_sum_change(u, d), sw, axes=sw.ndim)
+    else:
+        F = np.zeros(u.shape[1])
     if beta != 0.0:
         P = np.tensordot(_penalty_change(u, d, p, spec.A), sw, axes=sw.ndim)
     else:
@@ -166,12 +171,16 @@ def eval_J_change(field: StateField, d: np.ndarray, eps: float,
     carries d as a factor, so it is exactly 0 where d is.
     """
     g = field.grid
+    spec = field.spec
     u = field.values
     p = 2.0 * u + d
     quad = 0.5 * np.sum(d * _apply_quadratic(p, g, eps))
-    dens = -2.0 * field.spec.F_sum_change(u, d)
+    dens = -2.0 * spec.F_sum_change(u, d) if spec.reactive else None
     if beta != 0.0:
-        dens += 0.5 * beta * _penalty_change(u, d, p, field.spec.A)
+        pen = 0.5 * beta * _penalty_change(u, d, p, spec.A)
+        dens = pen if dens is None else dens + pen
+    if dens is None:
+        return float(quad)
     return float(quad + eps * np.sum(g.node_weights * dens))
 
 
@@ -186,8 +195,9 @@ def potential_gradient(u: np.ndarray, g: SpaceTimeGrid, spec: SystemSpec,
     _, W = g.dirichlet_operator
     gu = g.gradient(u)
     gu *= 2.0 * W
-    gpot = sw * (-2.0 * spec.f_all(u))
-    gpot += g.gradient_adjoint(gu)
+    gpot = g.gradient_adjoint(gu)
+    if spec.reactive:
+        gpot += sw * (-2.0 * spec.f_all(u))
     if beta != 0.0:
         Au2 = np.einsum("ij,j...->i...", spec.A, u * u)
         gpot += sw * (2.0 * beta * u * Au2)
@@ -203,11 +213,13 @@ def grad_J(field: StateField, eps: float, beta: float,
     g = field.grid
     spec = field.spec
     u = field.values
-    pot = -2.0 * spec.f_all(u)
+    pot = -2.0 * spec.f_all(u) if spec.reactive else None
     if beta != 0.0:
-        pot += 2.0 * beta * u * np.tensordot(spec.A, u * u, axes=1)
+        pen = 2.0 * beta * u * np.tensordot(spec.A, u * u, axes=1)
+        pot = pen if pot is None else pot + pen
     out = _apply_quadratic(u, g, eps)
-    out += eps * g.node_weights * pot
+    if pot is not None:
+        out += eps * g.node_weights * pot
     np.copyto(out, 0.0, where=g.pinned(data))
     return out
 

@@ -97,6 +97,13 @@ class SystemSpec:
         """2 * sum_i max F_i, the coercivity defect of the potential term."""
         return 2.0 * sum(r.F_max for r in self.reactions)
 
+    @property
+    def reactive(self) -> bool:
+        """Whether some species has a reaction other than ``zero``; when
+        none has, callers skip ``f_all``, ``F_sum`` and ``F_sum_change``,
+        which would only return zeros."""
+        return any(r.kind != "zero" for r in self.reactions)
+
     def f_all(self, values: np.ndarray) -> np.ndarray:
         """Apply f_i componentwise; values has shape (k, ...)."""
         return np.stack([self.reactions[i].f(values[i]) for i in range(self.k)])

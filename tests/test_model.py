@@ -68,6 +68,12 @@ class TestSystemSpec:
         assert all(r.kind == "zero" for r in spec.reactions)
         assert spec.M_bound == 0.0
 
+    def test_reactive_when_any_species_reacts(self):
+        A = [[0, 1], [1, 0]]
+        assert not SystemSpec.make(2, A).reactive
+        mixed = [ReactionFamily("zero"), ReactionFamily("cubic", 1.0)]
+        assert SystemSpec.make(2, A, mixed).reactive
+
     def test_M_bound_cubic(self):
         spec = SystemSpec.make(
             2, [[0, 1], [1, 0]],

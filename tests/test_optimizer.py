@@ -120,6 +120,40 @@ class TestMinimize:
         assert info["iters"] == 0
         np.testing.assert_allclose(x, target, rtol=0, atol=1e-15)
 
+    def test_adaptive_steps_on_ill_conditioned_box_quadratic(self):
+        # separable quadratic with curvatures over three decades, targets
+        # inside and outside [0, 1]: the converged point is the clipped
+        # target, J never rises, and few first trials are rejected (pure
+        # BB1 steps need about 1.7 value calls per pass here)
+        c = np.logspace(0, 3, 200)
+        target = np.linspace(-0.3, 1.3, 200)
+
+        def solve():
+            calls = []
+
+            def value_fn(x):
+                calls.append(1)
+                return 0.5 * float(np.sum(c * (x - target) ** 2))
+
+            x, info = projected_bb(
+                np.full(200, 0.5), value_fn, lambda x: c * (x - target),
+                np.ones(200), OptimizerConfig(), 1e3,
+                lambda x, d: float(np.sum(c * ((x - target) * d
+                                               + 0.5 * d * d))),
+            )
+            return x, info, len(calls)
+
+        x, info, n_values = solve()
+        assert info["converged"] and info["stop_reason"] == "converged"
+        np.testing.assert_allclose(x, np.clip(target, 0.0, 1.0), rtol=0,
+                                   atol=1e-5)
+        assert np.all(np.diff(info["J_history"]) <= 0.0)
+        assert n_values <= 1.4 * (info["iters"] + 1)
+        # the step rule's state starts afresh on every call
+        x_again, info_again, _ = solve()
+        np.testing.assert_array_equal(x_again, x)
+        assert info_again["J_history"] == info["J_history"]
+
     def test_zero_mass_entries_keep_their_start_value(self):
         # the objective pulls every entry towards 0, but entries without
         # mass (pins, nodes outside a support) must stay at x0
