@@ -61,8 +61,8 @@ class RunConfig:
     raw: dict = field(default_factory=dict)
 
 
-def _get(cp, sec, key, default, conv, label=None):
-    label = label or f"{sec}.{key}"
+def _get(cp, sec, key, default, conv):
+    label = f"{sec}.{key}"
     if not cp.has_option(sec, key):
         if default is None:
             raise ConfigError(label, "required field is missing")
@@ -74,6 +74,13 @@ def _get(cp, sec, key, default, conv, label=None):
         raise
     except Exception:
         raise ConfigError(label, f"cannot parse value {txt!r}")
+
+
+def _set_keys(cp, sec, **convs) -> dict:
+    """The keys of ``sec`` among ``convs`` that the file sets, parsed: the
+    class they are passed to holds the default of every other key."""
+    return {key: _get(cp, sec, key, None, conv)
+            for key, conv in convs.items() if cp.has_option(sec, key)}
 
 
 def _parse_matrix(txt: str) -> np.ndarray:
@@ -111,14 +118,8 @@ def parse_config(path) -> RunConfig:
 
     k = _get(cp, "system", "k", None, int)
     A = _get(cp, "system", "A", None, _parse_matrix)
-    try:
-        reactions = _get(
-            cp, "system", "reactions",
-            tuple(ReactionFamily("zero") for _ in range(k)), _parse_reactions,
-        )
-    except ValueError as exc:
-        raise ConfigError("system.reactions", str(exc))
-    spec = SystemSpec.make(k, A, reactions)
+    spec = SystemSpec.make(
+        k, A, **_set_keys(cp, "system", reactions=_parse_reactions))
     for where, msg in validate_system(spec):
         raise ConfigError(f"system.{where}", msg)
 
@@ -136,7 +137,7 @@ def parse_config(path) -> RunConfig:
         "Lx": _get(cp, "grid", "Lx", 1.0, float),
         "nt": _get(cp, "grid", "nt", 201, int),
         "T_r": _get(cp, "grid", "T_r", 20.0, float),
-        "tail_tol": _get(cp, "grid", "tail_tol", 1e-8, float),
+        **_set_keys(cp, "grid", tail_tol=float),
     }
     if dim == 2:
         gk["ny"] = _get(cp, "grid", "ny", 63, int)
@@ -144,38 +145,28 @@ def parse_config(path) -> RunConfig:
 
     floats = lambda txt: tuple(float(v) for v in txt.split())
     try:
-        ladder = LadderSpec(
-            betas=_get(cp, "ladder", "betas",
-                       (10.0, 100.0, 1000.0, 10000.0), floats),
-            epsilons=_get(cp, "ladder", "epsilons",
-                          (0.2, 0.1, 0.05, 0.025), floats),
-            cauchy_tol=_get(cp, "ladder", "cauchy_tol", 1e-3, float),
-        )
+        ladder = LadderSpec(**_set_keys(
+            cp, "ladder", betas=floats, epsilons=floats, cauchy_tol=float))
     except ValueError as exc:
         raise ConfigError("ladder", str(exc))
 
     try:
-        opt = OptimizerConfig(
-            max_iters=_get(cp, "optimizer", "max_iters", 4000, int),
-            grad_tol=_get(cp, "optimizer", "grad_tol", 1e-5, float),
-            seed=_get(cp, "optimizer", "seed", 0, int),
-        )
+        opt = OptimizerConfig(**_set_keys(
+            cp, "optimizer", max_iters=int, grad_tol=float, seed=int))
     except ValueError as exc:
         raise ConfigError("optimizer", str(exc))
 
+    diagnostics = _set_keys(
+        cp, "diagnostics", n_x_bumps=int, n_t_bumps=int, scales=floats,
+        c_w=float, run_oracle=_parse_bool, run_elliptic=_parse_bool,
+        oracle_dtau=float)
     rc = RunConfig(
         name=name, spec=spec, preset=preset, bc_mode=bc_mode,
         grid_kwargs=gk, ladder=ladder, optimizer=opt,
-        n_x_bumps=_get(cp, "diagnostics", "n_x_bumps", 5, int),
-        n_t_bumps=_get(cp, "diagnostics", "n_t_bumps", 3, int),
-        scales=_get(cp, "diagnostics", "scales", (0.12, 0.2), floats),
-        c_w=_get(cp, "diagnostics", "c_w", diag.C_W_DEFAULT, float),
-        run_oracle=_get(cp, "diagnostics", "run_oracle", True, _parse_bool),
-        run_elliptic=_get(cp, "diagnostics", "run_elliptic", True, _parse_bool),
-        oracle_dtau=_get(cp, "diagnostics", "oracle_dtau", 1e-3, float),
-        out_dir=_get(cp, "output", "dir", "out", str),
-        raw={s: dict(cp.items(s)) for s in cp.sections()},
+        raw={s: dict(cp.items(s)) for s in cp.sections()}, **diagnostics,
     )
+    if cp.has_option("output", "dir"):
+        rc.out_dir = _get(cp, "output", "dir", None, str)
     return rc
 
 
@@ -235,6 +226,12 @@ def _json_ready(obj):
 
 def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
     """Full ladder pipeline plus diagnostics.  Returns (exit_code, summary)."""
+    if rc.run_elliptic:
+        # the equivalence check solves at the second eps and beta
+        for key in ("epsilons", "betas"):
+            if len(getattr(rc.ladder, key)) < 2:
+                raise ConfigError(f"ladder.{key}",
+                                  "run_elliptic needs at least two values")
     out_dir.mkdir(parents=True, exist_ok=True)
     grid, data = make_inputs(rc)
     spec = rc.spec
@@ -256,21 +253,15 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
     dl = run_eps_ladder(spec, data, grid, rc.ladder, rc.optimizer)
     for eps in rc.ladder.epsilons:
         bl = dl.beta_results[eps]
-        for beta, res in zip(bl.betas, bl.results):
+        rungs = [(f"minimize(eps={eps:g}, beta={beta:g})", res)
+                 for beta, res in zip(bl.betas, bl.results)]
+        for stage, res in rungs + [(f"refine(eps={eps:g})", bl.refine)]:
             if not res.converged:
-                log(f"stage minimize(eps={eps:g}, beta={beta:g}) "
-                    f"did not converge (stop: {res.stop_reason}, "
-                    f"pg_norm={res.pg_norm:.3g})")
-                summary["failed_stage"] = f"minimize(eps={eps:g}, beta={beta:g})"
+                log(f"stage {stage} did not converge (stop: "
+                    f"{res.stop_reason}, pg_norm={res.pg_norm:.3g})")
+                summary["failed_stage"] = stage
                 _write_summary(out_dir, summary)
                 return 1, summary
-        if not bl.refine.converged:
-            log(f"stage refine(eps={eps:g}) did not converge "
-                f"(stop: {bl.refine.stop_reason}, "
-                f"pg_norm={bl.refine.pg_norm:.3g})")
-            summary["failed_stage"] = f"refine(eps={eps:g})"
-            _write_summary(out_dir, summary)
-            return 1, summary
 
     # level estimate, energy identity, and E/I magnitude bounds per rung
     level_entries = []

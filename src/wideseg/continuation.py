@@ -56,22 +56,13 @@ def hard_segregation(values: np.ndarray, tie_tol: float = 0.1) -> np.ndarray:
     return out
 
 
-def weighted_l2_distance(a: np.ndarray, b: np.ndarray,
-                         grid: SpaceTimeGrid) -> float:
-    """L2 distance in the e^{-t}-weighted space-time measure."""
-    d = a - b
-    return float(np.sqrt(np.sum(grid.node_weights * np.sum(d * d, axis=0))))
-
-
 @dataclass
 class BetaLadderResult:
     eps: float
     betas: tuple
     results: list          # OptimizeResult per rung
     beta_overlap: list     # beta * weighted overlap integral per rung
-    distances: list        # weighted-L2 distance between consecutive rungs
     v_eps: StateField      # hard-projected top-rung field
-    raw_top: StateField
     refine: OptimizeResult  # penalty-free re-minimization, frozen partition
     all_converged: bool
 
@@ -112,16 +103,13 @@ def run_beta_ladder(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
         return res, res.field.values
 
     results, refined, v_eps = segregated_ladder(solve, betas, init.values)
-    fields = [r.field for r in results]
     return BetaLadderResult(
         eps=eps,
         betas=tuple(betas),
         results=results,
-        beta_overlap=[b * overlap(f)[0] for b, f in zip(betas, fields)],
-        distances=[weighted_l2_distance(cur.values, prev.values, grid)
-                   for prev, cur in zip(fields, fields[1:])],
+        beta_overlap=[b * overlap(r.field)[0]
+                      for b, r in zip(betas, results)],
         v_eps=StateField(v_eps, grid, spec),
-        raw_top=fields[-1],
         refine=refined,
         all_converged=all(r.converged for r in results) and refined.converged,
     )
@@ -156,7 +144,6 @@ def original_time_l2(a: np.ndarray, b: np.ndarray, taus: np.ndarray,
 
 @dataclass
 class DoubleLimitResult:
-    ladder: LadderSpec
     beta_results: dict = field(default_factory=dict)   # eps -> BetaLadderResult
     w: StateField = None
     cauchy: list = field(default_factory=list)         # [(eps_hi, eps_lo, dist)]
@@ -170,7 +157,7 @@ def run_eps_ladder(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
     """Descend the regularization ladder, each rung running a full penalty
     ladder warm-started from the previous segregated limit."""
     cfg = config or OptimizerConfig()
-    out = DoubleLimitResult(ladder=ladder)
+    out = DoubleLimitResult()
     eps_list = list(ladder.epsilons)
     # common original-time comparison window, covered by every rung
     out.tau_max = 0.5 * min(eps_list) * grid.T_r
@@ -190,7 +177,7 @@ def run_eps_ladder(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
         # Cauchy distances use the raw top-rung minimizers: the hard
         # projection moves every field by O(interface width), which is far
         # larger than the inter-rung differences it would be measuring
-        cur_orig = to_original_time(bl.raw_top, eps, taus)
+        cur_orig = to_original_time(bl.results[-1].field, eps, taus)
         if prev_orig is not None:
             d = original_time_l2(prev_orig, cur_orig, taus, grid)
             out.cauchy.append((prev_eps, eps, d))

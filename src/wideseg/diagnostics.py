@@ -25,6 +25,13 @@ C_W_DEFAULT = 0.5
 #: relative residual threshold for the energy identity at minimizers
 ENERGY_IDENTITY_TOL = 5e-2
 
+#: level estimate: the largest spread of |J|/eps allowed across the ladder,
+#: and the relative and absolute slack on the bounds -eps M |Omega| <= J
+#: <= J_competitor
+LEVEL_RATIO_CAP = 4.0
+LEVEL_REL_SLACK = 0.02
+LEVEL_ABS_SLACK = 1e-6
+
 _BPRIME_MAX = 8.0 / (3.0 * np.sqrt(3.0))   # max |d/ds (1-s^2)^2|
 
 
@@ -137,6 +144,13 @@ class InequalityReport:
     passed: bool
 
 
+def _time_derivative(vals: np.ndarray, taus: np.ndarray) -> np.ndarray:
+    """dv/dtau on the time cells of a (n, n_tau, *space) field sampled at
+    ``taus``: shape (n, n_tau - 1, *space)."""
+    dtau = np.diff(taus).reshape((-1,) + (1,) * (vals.ndim - 2))
+    return np.diff(vals, axis=1) / dtau
+
+
 def _pairings(dvdt, grads, forces, taus, grid: SpaceTimeGrid,
               eps_term: float, bump: Bump) -> np.ndarray:
     """Weak pairings  int int { eta dv/dt + eps dv/dt deta/dt
@@ -201,8 +215,7 @@ def check_weak_inequalities(vals: np.ndarray, taus: np.ndarray,
     fvals = spec.f_all(vals)
     fields = np.concatenate([vals, vals - (vals.sum(axis=0) - vals)])
     forces = np.concatenate([fvals, fvals - (fvals.sum(axis=0) - fvals)])
-    dt_cells = np.diff(taus).reshape((-1,) + (1,) * grid.dim)
-    dvdt = np.diff(fields, axis=1) / dt_cells
+    dvdt = _time_derivative(fields, taus)
     grads = grid.gradient(fields)
     pairings = np.array([
         _pairings(dvdt, grads, forces, taus, grid, eps_term, b)
@@ -263,7 +276,6 @@ def check_uniform_windows(vals: np.ndarray, taus: np.ndarray,
     q = D + beta * P    # (n_tau,)
 
     worst = 0.0
-    rows = []
     for tau0, T in windows:
         if tau0 + T > taus[-1] * (1 + 1e-12):
             raise ValueError(
@@ -271,18 +283,13 @@ def check_uniform_windows(vals: np.ndarray, taus: np.ndarray,
                 f"horizon {taus[-1]:g}"
             )
         sel = (taus >= tau0 - 1e-12) & (taus <= tau0 + T + 1e-12)
-        val = float(np.trapezoid(q[sel], taus[sel]) / T)
-        rows.append({"tau0": tau0, "T": T, "value": val})
-        worst = max(worst, val)
+        worst = max(worst, float(np.trapezoid(q[sel], taus[sel]) / T))
 
-    dvdt = np.diff(vals, axis=1) / np.diff(taus).reshape(
-        (-1,) + (1,) * grid.dim
-    )
+    dvdt = _time_derivative(vals, taus)
     kin_cells = np.tensordot(np.sum(dvdt * dvdt, axis=0), sw, axes=sw.ndim)
     kinetic = float(np.dot(np.diff(taus), kin_cells))
     return {
         "windowed_max": worst,
-        "windows": rows,
         "sup_norm": float(np.abs(vals).max()),
         "kinetic": kinetic,
     }
@@ -292,10 +299,11 @@ def default_windows(eps: float):
     return [(a * eps, b * eps) for a in (0, 1, 2) for b in (1, 2, 4)]
 
 
-def check_energy_identity(trace: EnergyTrace, converged: bool,
-                          tol: float = ENERGY_IDENTITY_TOL) -> dict:
-    """Diagnostic packaging of the energy-identity residual."""
+def check_energy_identity(trace: EnergyTrace, converged: bool) -> dict:
+    """Diagnostic packaging of the energy-identity residual, judged against
+    ``ENERGY_IDENTITY_TOL``."""
     _, rel, _ = energy_identity_residual(trace)
+    tol = ENERGY_IDENTITY_TOL
     out = {"relative_residual": rel, "tol": tol, "reliable": bool(converged)}
     out["passed"] = bool(converged and rel <= tol)
     if not converged:
@@ -303,11 +311,11 @@ def check_energy_identity(trace: EnergyTrace, converged: bool,
     return out
 
 
-def check_level_estimate_across_ladder(entries, M: float, volume: float,
-                                       ratio_cap: float = 4.0,
-                                       rel_slack: float = 0.02,
-                                       abs_slack: float = 1e-6) -> dict:
-    """Boundedness of |J|/eps across a regularization ladder.
+def check_level_estimate_across_ladder(entries, M: float,
+                                       volume: float) -> dict:
+    """Boundedness of |J|/eps across a regularization ladder: the bounds
+    within ``LEVEL_REL_SLACK`` and ``LEVEL_ABS_SLACK``, the spread of
+    |J|/eps within ``LEVEL_RATIO_CAP``.
 
     entries: iterable of dicts with keys eps, J, J_competitor.
     """
@@ -317,7 +325,7 @@ def check_level_estimate_across_ladder(entries, M: float, volume: float,
     for e in entries:
         eps, J, Jc = e["eps"], e["J"], e["J_competitor"]
         lower = -eps * M * volume
-        slack = abs_slack + rel_slack * max(abs(lower), abs(Jc))
+        slack = LEVEL_ABS_SLACK + LEVEL_REL_SLACK * max(abs(lower), abs(Jc))
         ok = lower - slack <= J <= Jc + slack
         bounds_ok &= ok
         ratios.append(abs(J) / eps)
@@ -330,7 +338,7 @@ def check_level_estimate_across_ladder(entries, M: float, volume: float,
     return {
         "rows": rows,
         "abs_ratio_spread": spread,
-        "bounded": bool(spread <= ratio_cap),
+        "bounded": bool(spread <= LEVEL_RATIO_CAP),
         "bounds_ok": bool(bounds_ok),
-        "passed": bool(bounds_ok and spread <= ratio_cap),
+        "passed": bool(bounds_ok and spread <= LEVEL_RATIO_CAP),
     }

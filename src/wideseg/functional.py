@@ -224,21 +224,21 @@ def grad_J(field: StateField, eps: float, beta: float,
     return out
 
 
-def energy_identity_residual(trace: EnergyTrace, guard: float = HORIZON_GUARD):
+def energy_identity_residual(trace: EnergyTrace):
     """Residual of the forward-average energy law E' + 2I = 0.
 
     Returns (r, rel, mask): per-cell residual r_j = (E_{j+1}-E_j)/dt + 2 I_j,
     the max interior residual relative to max(1, max_j(I_j + R_j)), and the
     boolean mask of interior cells used.  The first cell and cells within
-    ``guard`` of the truncation horizon are excluded (the truncated tail
-    corrupts E there).
+    ``HORIZON_GUARD`` of the truncation horizon are excluded (the truncated
+    tail corrupts E there).
     """
     t = trace.t
     dt = t[1] - t[0]
     r = (trace.E[1:] - trace.E[:-1]) / dt + 2.0 * trace.I
     mask = np.zeros_like(r, dtype=bool)
     mask[1:] = True
-    mask &= t[1:] <= t[-1] - guard
+    mask &= t[1:] <= t[-1] - HORIZON_GUARD
     denom = max(1.0, float(np.max(trace.I + trace.R)))
     rel = float(np.max(np.abs(r[mask])) / denom) if mask.any() else float("nan")
     return r, rel, mask

@@ -221,9 +221,6 @@ class StateField:
     grid: SpaceTimeGrid
     spec: SystemSpec
 
-    def copy(self) -> "StateField":
-        return StateField(self.values.copy(), self.grid, self.spec)
-
 
 def discrete_time_derivative(field: StateField) -> np.ndarray:
     """Forward differences per time cell, shape (k, nt-1, *space)."""

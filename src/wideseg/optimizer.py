@@ -46,16 +46,11 @@ from .model import BoundaryData, SystemSpec
 class OptimizerConfig:
     max_iters: int = 4000
     grad_tol: float = 1e-5
-    backtrack_factor: float = 0.5
-    min_step: float = 1e-14
-    armijo: float = 1e-4
     seed: int = 0
 
     def __post_init__(self) -> None:
         if self.grad_tol <= 0:
             raise ValueError("grad_tol must be positive")
-        if not 0.0 < self.backtrack_factor < 1.0:
-            raise ValueError("backtrack_factor must lie in (0, 1)")
 
 
 @dataclass
@@ -100,6 +95,13 @@ ROUNDOFF_RTOL = 1e-14
 #: multiplies the threshold by 0.9 after a short step and by 1.1 after BB1
 ABB_TAU0 = 0.5
 ABB_MEMORY = 3
+
+#: backtracking: the factor each rejected trial step is shrunk by, the
+#: smallest step tried, and the Armijo fraction of the predicted decrease
+#: a step must achieve
+BACKTRACK_FACTOR = 0.5
+MIN_STEP = 1e-14
+ARMIJO = 1e-4
 
 
 def _decrease(change_fn, x, J, x_new, J_new, bound: float) -> float:
@@ -152,12 +154,13 @@ def projected_bb(x0, value_fn, grad_fn, mass, cfg: OptimizerConfig,
     decrease instead.  The first trial step is ABBmin's choice between
     BB1 and the least of the last ``ABB_MEMORY`` BB2 values (see the
     module docstring; 1/L on the first pass or when s.y <= 0), clamped to
-    [``min_step``, 1e6/L]; the threshold and the BB2 memory start afresh
-    on every call.  Backtracking shrinks the step by ``backtrack_factor``
-    until it meets the Armijo condition on that decrease; failing that,
-    the short step 1/L is taken only if it strictly decreases J by the
-    same measure, and otherwise the loop stops.  A stop reports
-    ``converged`` only if the KKT residual is within ``grad_tol``.
+    [``MIN_STEP``, 1e6/L]; the threshold and the BB2 memory start afresh
+    on every call.  Backtracking shrinks the step by ``BACKTRACK_FACTOR``
+    until it meets the Armijo condition (fraction ``ARMIJO``) on that
+    decrease, down to ``MIN_STEP``; failing that, the short step 1/L is
+    taken only if it strictly decreases J by the same measure, and
+    otherwise the loop stops.  A stop reports ``converged`` only if the
+    KKT residual is within ``grad_tol``.
 
     ``stop_reason`` says where the loop ended: ``"converged"`` (KKT
     residual within ``grad_tol``), ``"no_descent"`` (no step decreased J)
@@ -201,7 +204,7 @@ def projected_bb(x0, value_fn, grad_fn, mass, cfg: OptimizerConfig,
                     tau *= 1.1
             else:
                 s = s_fallback
-        s = min(max(s, cfg.min_step), 1e6 * s_fallback)
+        s = min(max(s, MIN_STEP), 1e6 * s_fallback)
 
         mgh = mass * gh
         x_new = np.empty_like(x)
@@ -211,14 +214,14 @@ def projected_bb(x0, value_fn, grad_fn, mass, cfg: OptimizerConfig,
             _trial(x, gh, trial, x_new)
             J_new = value_fn(x_new)
             pred = float(np.sum(mgh * (x - x_new)))
-            bound = -cfg.armijo * pred
+            bound = -ARMIJO * pred
             dJ = _decrease(change_fn, x, J, x_new, J_new, bound)
             if dJ <= bound and dJ <= 0.0:
                 accepted = True
                 break
-            if trial <= cfg.min_step:
+            if trial <= MIN_STEP:
                 break
-            trial *= cfg.backtrack_factor
+            trial *= BACKTRACK_FACTOR
 
         if not accepted:
             # descent safeguard: short fixed step from the curvature estimate

@@ -29,6 +29,10 @@ from .optimizer import (
     OptimizerConfig, curvature_bound, minimize, projected_bb,
 )
 
+#: the oracle discrepancy counts as decreasing along the eps ladder when
+#: each rung's is at most this factor times its predecessor's
+DISCREPANCY_SLACK = 1.1
+
 
 @dataclass
 class ParabolicRun:
@@ -134,28 +138,22 @@ def step_parabolic(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
     )
 
 
-def sample_run(run: ParabolicRun, taus: np.ndarray) -> np.ndarray:
-    """Linear-in-time resampling of a parabolic trajectory."""
-    return resample_in_time(run.taus, run.values, taus)
-
-
 def compare_with_minimizer(entries, run: ParabolicRun, taus: np.ndarray,
-                           grid: SpaceTimeGrid, slack: float = 1.1) -> dict:
-    """L2 discrepancy between minimizers and the parabolic trajectory.
+                           grid: SpaceTimeGrid) -> dict:
+    """L2 discrepancy between minimizers and the parabolic trajectory,
+    resampled linearly in time at ``taus``.
 
     entries: list of (eps, StateField) in descending eps order.  Reports
     one row per eps and whether the discrepancy decreases along the ladder
-    (each entry at most ``slack`` times its predecessor).
+    (each entry at most ``DISCREPANCY_SLACK`` times its predecessor).
     """
-    ref = sample_run(run, taus)
+    ref = resample_in_time(run.taus, run.values, taus)
     rows = []
     for eps, fld in entries:
         d = original_time_l2(to_original_time(fld, eps, taus), ref, taus, grid)
         rows.append({"eps": eps, "discrepancy": d})
-    dec = all(
-        rows[i + 1]["discrepancy"] <= slack * rows[i]["discrepancy"]
-        for i in range(len(rows) - 1)
-    )
+    disc = [r["discrepancy"] for r in rows]
+    dec = all(b <= DISCREPANCY_SLACK * a for a, b in zip(disc, disc[1:]))
     return {"rows": rows, "decreasing": bool(dec)}
 
 
@@ -272,8 +270,5 @@ def check_elliptic_equivalence(spec: SystemSpec, data: BoundaryData,
     return {
         "temporal_variation": var,
         "elliptic_gap": gap,
-        "space_time": res,
-        "elliptic": ell,
-        "ubar": ubar,
         "all_converged": bool(res.converged and ell.converged),
     }

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from wideseg.cli import ConfigError, main, parse_config
+from wideseg.optimizer import OptimizerConfig
 
 BASE_CFG = """\
 [scenario]
@@ -58,6 +59,23 @@ class TestParseConfig:
         assert rc.spec.k == 2
         assert rc.ladder.betas == (10.0, 100.0)
         assert not rc.run_oracle
+
+    def test_left_out_keys_take_class_defaults(self, tmp_path):
+        sparse = BASE_CFG.replace("reactions = zero zero\n", "")
+        sparse = sparse.replace("seed = 0\n", "")
+        sparse = sparse[:sparse.index("[diagnostics]")]
+        rc = parse_config(write_cfg(tmp_path, sparse))
+        assert all(r.kind == "zero" for r in rc.spec.reactions)
+        assert rc.optimizer == OptimizerConfig(max_iters=1500, grad_tol=1e-5)
+        assert (rc.n_x_bumps, rc.scales, rc.run_elliptic, rc.out_dir) == (
+            5, (0.12, 0.2), True, "out")
+
+    def test_bad_reaction_named(self, tmp_path):
+        bad = BASE_CFG.replace("reactions = zero zero",
+                               "reactions = zero quartic")
+        with pytest.raises(ConfigError) as ei:
+            parse_config(write_cfg(tmp_path, bad))
+        assert ei.value.field_name == "system.reactions"
 
     def test_nonzero_diagonal_named(self, tmp_path):
         bad = BASE_CFG.replace("A = 0 1; 1 0", "A = 1 1; 1 0")
@@ -136,6 +154,20 @@ class TestExitCodes:
         assert summary["failed_stage"] == "refine(eps=0.2)"
         assert "refine(eps=0.2) did not converge (stop: max_iters" in \
             capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, ladder, one_rung", [
+        ("epsilons", "epsilons = 0.2 0.1", "epsilons = 0.2"),
+        ("betas", "betas = 10 100", "betas = 10"),
+    ], ids=["epsilons", "betas"])
+    def test_one_rung_ladder_with_elliptic_is_2(self, tmp_path, capsys, key,
+                                                ladder, one_rung):
+        # the elliptic equivalence check solves at the second eps and beta
+        cfg = BASE_CFG.replace("run_elliptic = false", "run_elliptic = true")
+        cfg = cfg.replace(ladder, one_rung)
+        code = main(["run", "--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"ladder.{key}" in capsys.readouterr().err
 
     def test_check_and_report_missing_artifacts(self, tmp_path, capsys):
         assert main(["check", "--artifacts", str(tmp_path)]) == 2

@@ -3,7 +3,7 @@ import pytest
 
 from wideseg.continuation import (
     LadderSpec, hard_segregation, original_time_l2, run_beta_ladder,
-    run_eps_ladder, to_original_time, weighted_l2_distance,
+    run_eps_ladder, to_original_time,
 )
 from wideseg.grid import StateField, build_grid
 from wideseg.model import BoundaryData, SystemSpec, preset_v0
@@ -73,13 +73,6 @@ class TestTimeResampling:
         # gap^2 integrates to k * |Omega| * tau_max = 2 * 1 * 2
         assert original_time_l2(a, b, taus, g) == pytest.approx(2.0, rel=1e-12)
 
-    def test_weighted_l2_distance_of_constants(self):
-        g, spec, _ = setup(nx=7, nt=11)
-        a = np.zeros((2, 11, 9))
-        b = np.ones((2, 11, 9))
-        expect = np.sqrt(2.0 * (1.0 - np.exp(-T_R)))
-        assert weighted_l2_distance(a, b, g) == pytest.approx(expect, rel=1e-12)
-
 
 class TestLadderSpec:
     def test_validation(self):
@@ -98,7 +91,7 @@ class TestLadders:
             spec, data, g, 0.1, (10.0, 100.0), OptimizerConfig(max_iters=1500)
         )
         assert bl.all_converged
-        assert len(bl.results) == 2 and len(bl.distances) == 1
+        assert len(bl.results) == 2
         # penalty segregation: beta * overlap stays bounded as beta grows
         assert bl.beta_overlap[1] < 10.0 * bl.beta_overlap[0]
         v = bl.v_eps.values

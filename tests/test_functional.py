@@ -294,7 +294,7 @@ class TestEnergyIdentity:
     def test_mask_excludes_horizon(self):
         g, spec, data = make_setup(nx=7, nt=101)
         tr = eval_J(competitor_field(data, g, spec), 0.1, 0.0)
-        _, _, mask = energy_identity_residual(tr, guard=7.0)
+        _, _, mask = energy_identity_residual(tr)
         assert not mask[0]
         t_last_used = tr.t[1:][mask].max()
         assert t_last_used <= T_R - 7.0

@@ -220,5 +220,3 @@ class TestHelpers:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             OptimizerConfig(grad_tol=0.0)
-        with pytest.raises(ValueError):
-            OptimizerConfig(backtrack_factor=1.5)

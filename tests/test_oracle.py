@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from wideseg.grid import build_grid
+from wideseg.grid import build_grid, resample_in_time
 from wideseg.model import BoundaryData, ReactionFamily, SystemSpec, preset_v0
 from wideseg.optimizer import OptimizerConfig
 from wideseg.oracle import (
     check_elliptic_equivalence, compare_with_minimizer, elliptic_beta_ladder,
-    elliptic_energy, minimize_elliptic, sample_run, spatial_overlap,
+    elliptic_energy, minimize_elliptic, spatial_overlap,
     step_parabolic,
 )
 
@@ -100,7 +100,7 @@ class TestParabolicStepper:
         g, spec, data = setup(nx=15, nt=21)
         run = step_parabolic(spec, data, g, 10.0, 1e-3, 500)
         taus = np.linspace(0.0, 0.5, 26)
-        s = sample_run(run, taus)
+        s = resample_in_time(run.taus, run.values, taus)
         assert s.shape == (2, 26, 17)
         from wideseg.continuation import run_beta_ladder
         bl = run_beta_ladder(
