@@ -103,7 +103,7 @@ def _apply_quadratic(u: np.ndarray, grid: SpaceTimeGrid,
                      eps: float) -> np.ndarray:
     """Q u_i for every species i, in the shape of u (k, nt, *space)."""
     Q = grid.quadratic_operator(eps)
-    out = np.empty_like(u)
+    out = np.empty(u.shape)
     for ui, oi in zip(u.reshape(len(u), -1), out.reshape(len(u), -1)):
         oi[:] = Q @ ui
     return out
@@ -174,14 +174,39 @@ def eval_J_change(field: StateField, d: np.ndarray, eps: float,
     spec = field.spec
     u = field.values
     p = 2.0 * u + d
-    quad = 0.5 * np.sum(d * _apply_quadratic(p, g, eps))
+    quad = 0.5 * np.vdot(d, _apply_quadratic(p, g, eps))
     dens = -2.0 * spec.F_sum_change(u, d) if spec.reactive else None
     if beta != 0.0:
         pen = 0.5 * beta * _penalty_change(u, d, p, spec.A)
         dens = pen if dens is None else dens + pen
     if dens is None:
         return float(quad)
-    return float(quad + eps * np.sum(g.node_weights * dens))
+    return float(quad + eps * np.vdot(g.node_weights, dens))
+
+
+def _pointwise_gradient(u: np.ndarray, spec: SystemSpec, beta: float,
+                        weights: np.ndarray) -> np.ndarray | None:
+    """weights * (-2 f(u) + 2 beta u (A u^2)), the derivative of the
+    weighted reaction and penalty terms -2F(u) + (beta/2)<u^2, A u^2> (A
+    symmetric), or None when there is neither.
+
+    ``weights`` broadcasts against u (k, ...) from the right.  The terms
+    are built in one array in place: beta scales the k x k matrix A, and
+    the factor 2 the weights.
+    """
+    if beta != 0.0:
+        out = np.tensordot(beta * spec.A, u * u, axes=1)
+        out *= u
+        if spec.reactive:
+            out -= spec.f_all(u)
+        scale = 2.0
+    elif spec.reactive:
+        out = spec.f_all(u)
+        scale = -2.0
+    else:
+        return None
+    out *= scale * weights
+    return out
 
 
 def potential_gradient(u: np.ndarray, g: SpaceTimeGrid, spec: SystemSpec,
@@ -191,16 +216,13 @@ def potential_gradient(u: np.ndarray, g: SpaceTimeGrid, spec: SystemSpec,
     u has shape (k, n_slices, *space); the time axis is inert here, so the
     same routine serves space-time slices and purely spatial fields.
     """
-    sw = g.space_weights
     _, W = g.dirichlet_operator
     gu = g.gradient(u)
     gu *= 2.0 * W
     gpot = g.gradient_adjoint(gu)
-    if spec.reactive:
-        gpot += sw * (-2.0 * spec.f_all(u))
-    if beta != 0.0:
-        Au2 = np.einsum("ij,j...->i...", spec.A, u * u)
-        gpot += sw * (2.0 * beta * u * Au2)
+    pot = _pointwise_gradient(u, spec, beta, g.space_weights)
+    if pot is not None:
+        gpot += pot
     return gpot
 
 
@@ -211,15 +233,11 @@ def grad_J(field: StateField, eps: float, beta: float,
     Pinned nodes (initial slice and/or lateral trace, per bc_mode) report 0.
     """
     g = field.grid
-    spec = field.spec
     u = field.values
-    pot = -2.0 * spec.f_all(u) if spec.reactive else None
-    if beta != 0.0:
-        pen = 2.0 * beta * u * np.tensordot(spec.A, u * u, axes=1)
-        pot = pen if pot is None else pot + pen
     out = _apply_quadratic(u, g, eps)
+    pot = _pointwise_gradient(u, field.spec, beta, eps * g.node_weights)
     if pot is not None:
-        out += eps * g.node_weights * pot
+        out += pot
     np.copyto(out, 0.0, where=g.pinned(data))
     return out
 

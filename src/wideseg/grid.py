@@ -206,10 +206,13 @@ class SpaceTimeGrid:
         return md
 
 
-def build_grid(dim, nx, Lx, nt, T_r, ny=None, Ly=None, tail_tol=1e-8) -> SpaceTimeGrid:
+def build_grid(dim, nx, Lx, nt, T_r, ny=None, Ly=None,
+               tail_tol=None) -> SpaceTimeGrid:
+    """A SpaceTimeGrid; ``tail_tol`` keeps the grid's default unless given."""
+    extra = {} if tail_tol is None else {"tail_tol": tail_tol}
     return SpaceTimeGrid(
         dim=dim, nx=nx, Lx=Lx, nt=nt, T_r=T_r,
-        ny=ny or 0, Ly=Ly or 0.0, tail_tol=tail_tol,
+        ny=ny or 0, Ly=Ly or 0.0, **extra,
     )
 
 

@@ -5,11 +5,13 @@ from hypothesis import given, settings, strategies as st
 from wideseg import grid as gridmod
 from wideseg.functional import (
     competitor_field, competitor_value, energy_identity_residual, eval_J,
-    eval_J_change, eval_J_value, grad_J, penalty_density, slice_potential,
+    eval_J_change, eval_J_value, grad_J, penalty_density, potential_gradient,
+    slice_potential,
 )
 from wideseg.grid import StateField, build_grid
 from wideseg.model import BoundaryData, ReactionFamily, SystemSpec, preset_v0
-from wideseg.optimizer import ROUNDOFF_RTOL
+from wideseg.optimizer import ROUNDOFF_RTOL, OptimizerConfig, minimize
+from wideseg.oracle import elliptic_energy
 
 T_R = 20.0
 WEIGHT_MASS = 1.0 - np.exp(-T_R)
@@ -157,6 +159,62 @@ def cubic_case(dim):
     u = rng.uniform(0, 1, (k, g.nt) + g.space_shape)
     gridmod.impose_pins(u, g, data)
     return g, spec, data, u
+
+
+class TestStationaryGradient:
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("beta", [0.0, 50.0])
+    def test_matches_central_differences(self, dim, beta):
+        # potential_gradient shares its reaction and penalty terms with
+        # grad_J; here they carry the spatial weights of one slice
+        g, spec, _, u = cubic_case(dim)
+        w = u[:, 5].copy()
+        grad = potential_gradient(w[:, None], g, spec, beta)[:, 0]
+        h = 1e-5
+        for n in np.random.default_rng(2).choice(w.size, 20, replace=False):
+            idx = np.unravel_index(n, w.shape)
+            up, um = w.copy(), w.copy()
+            up[idx] += h
+            um[idx] -= h
+            fd = (elliptic_energy(up, g, spec, beta)
+                  - elliptic_energy(um, g, spec, beta)) / (2 * h)
+            assert fd == pytest.approx(grad[idx], rel=1e-6, abs=1e-9)
+
+
+def other_layouts(a):
+    """The values of a in Fortran order and as a view with permuted
+    strides; neither is C-contiguous."""
+    permuted = np.moveaxis(np.ascontiguousarray(np.moveaxis(a, 0, -1)), -1, 0)
+    return [np.asfortranarray(a), permuted]
+
+
+class TestMemoryLayout:
+    """Inputs in any memory order give the results of C-ordered ones."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_gradient_and_change(self, dim):
+        g, spec, data, u = cubic_case(dim)
+        d = np.random.default_rng(4).normal(0.0, 1e-2, u.shape)
+        f = StateField(u, g, spec)
+        grad = grad_J(f, 0.1, 50.0, data)
+        change = eval_J_change(f, d, 0.1, 50.0)
+        for uu, dd in zip(other_layouts(u), other_layouts(d)):
+            assert not (uu.flags.c_contiguous or dd.flags.c_contiguous)
+            ff = StateField(uu, g, spec)
+            np.testing.assert_array_equal(grad_J(ff, 0.1, 50.0, data), grad)
+            assert eval_J_change(ff, dd, 0.1, 50.0) == change
+
+    def test_minimize_from_any_layout(self):
+        g, spec, data, u = cubic_case(1)
+        cfg = OptimizerConfig(max_iters=200)
+        ref = minimize(spec, data, g, 0.1, 50.0, cfg,
+                       init=StateField(u, g, spec))
+        assert ref.iters > 10
+        for uu in other_layouts(u):
+            res = minimize(spec, data, g, 0.1, 50.0, cfg,
+                           init=StateField(uu, g, spec))
+            assert res.iters == ref.iters and res.trace.J == ref.trace.J
+            np.testing.assert_array_equal(res.field.values, ref.field.values)
 
 
 class TestChange:

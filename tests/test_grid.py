@@ -5,8 +5,8 @@ from hypothesis import given, settings, strategies as st
 from scipy.interpolate import interp1d
 
 from wideseg.grid import (
-    StateField, build_grid, cell_gradient, discrete_time_derivative,
-    free_mask, impose_pins, resample_in_time,
+    SpaceTimeGrid, StateField, build_grid, cell_gradient,
+    discrete_time_derivative, free_mask, impose_pins, resample_in_time,
 )
 from wideseg.model import BoundaryData, SystemSpec, preset_v0
 from wideseg.oracle import _stiffness
@@ -37,6 +37,12 @@ class TestWeights:
     def test_tail_flag(self):
         assert small_grid().tail_ok
         assert not build_grid(1, 7, 1.0, 11, 5.0).tail_ok
+
+    def test_tail_tol_default_lives_in_the_grid(self):
+        # build_grid passes tail_tol on only when given
+        default = SpaceTimeGrid(1, 7, 1.0, 11, 20.0).tail_tol
+        assert small_grid().tail_tol == default
+        assert build_grid(1, 7, 1.0, 11, 5.0, tail_tol=1e-2).tail_ok
 
     @given(st.integers(5, 80), st.floats(10.0, 40.0))
     @settings(max_examples=25, deadline=None)

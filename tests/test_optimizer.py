@@ -170,7 +170,63 @@ class TestMinimize:
         assert np.all(x[mass > 0] < 1e-5)
 
 
+    def test_start_is_copied_and_callbacks_get_c_order(self):
+        # the loop works in its own C-ordered buffers: x0 (here a transposed
+        # view) is never written, the result does not alias it, and every
+        # callback sees C-contiguous arrays
+        target = np.linspace(-0.2, 1.2, 12).reshape(4, 3).T
+        x0 = np.full((4, 3), 0.5).T
+        keep = x0.copy()
+        layouts = []
+
+        def value_fn(x):
+            layouts.append(x.flags.c_contiguous)
+            return 0.5 * float(np.sum((x - target) ** 2))
+
+        def grad_fn(x):
+            layouts.append(x.flags.c_contiguous)
+            return x - target
+
+        def change_fn(x, d):
+            layouts.append(x.flags.c_contiguous and d.flags.c_contiguous)
+            return float(np.sum((x - target) * d + 0.5 * d * d))
+
+        x, info = projected_bb(x0, value_fn, grad_fn, np.ones((3, 4)),
+                               OptimizerConfig(), 1.0, change_fn)
+        assert info["converged"]
+        np.testing.assert_array_equal(x0, keep)
+        assert not np.shares_memory(x, x0)
+        assert len(layouts) > 2 and all(layouts)
+        np.testing.assert_allclose(x, np.clip(target, 0.0, 1.0), rtol=0,
+                                   atol=1e-5)
+
+
+def kkt_reference(x, gh):
+    """The KKT residual through np.where, which _kkt_norm's reductions
+    and mask multiplies must match bit for bit."""
+    return float(max(np.max(np.where(x > 0.0, gh, 0.0)),
+                     -np.min(np.where(x < 1.0, gh, 0.0))))
+
+
 class TestKKT:
+    def test_matches_where_reference_bit_for_bit(self):
+        # random fields with exact 0s and 1s and zero-gradient entries, so
+        # that the largest or least entry is often blocked; adding 0.0 maps
+        # a reference result of -0.0 to 0.0, every other bit pattern is
+        # compared as it is
+        rng = np.random.default_rng(8)
+        blocked = 0
+        for n in rng.integers(1, 60, size=400):
+            x = np.clip(rng.uniform(-0.5, 1.5, n), 0.0, 1.0)
+            gh = rng.standard_normal(n)
+            gh[rng.uniform(size=n) < 0.2] = 0.0
+            want = np.float64(kkt_reference(x, gh) + 0.0).tobytes()
+            assert np.float64(_kkt_norm(x, gh)).tobytes() == want
+            assert np.float64(_kkt_norm(x, gh, np.empty(n))).tobytes() == want
+            i, j = gh.argmax(), gh.argmin()
+            blocked += not (x[i] > 0.0 and x[j] < 1.0)
+        assert 50 < blocked < 350
+
     def test_blocked_directions_drop_out(self):
         # a positive entry at x = 0 and a negative one at x = 1 push out of
         # the box and do not count; the inward ones and interior ones do
