@@ -356,6 +356,9 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
         for i in range(len(dl.cauchy) - 1)
     )
     verdicts["cauchy"] = bool(cauchy_ok)
+    # reported beside the distances; no verdict reads the tolerance
+    summary["cauchy"] = {"distances": [list(c) for c in dl.cauchy],
+                         "cauchy_tol": rc.ladder.cauchy_tol}
     write_csv(out_dir / "cauchy.csv",
               ["eps_hi", "eps_lo", "distance"], dl.cauchy)
 

@@ -15,6 +15,7 @@ from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg.lapack import dpttrf, dpttrs
 
 from .model import BoundaryData, SystemSpec
 
@@ -43,11 +44,14 @@ class SpaceTimeGrid:
     boundary_mask: np.ndarray = field(init=False)
     tail_mass: float = field(init=False)
     tail_ok: bool = field(init=False)
-    # (eps, Q) of the latest quadratic_operator call; pinned masks by mode
+    # (eps, Q) of the latest quadratic_operator call; pinned masks by mode;
+    # free spatial modes by whether the lateral trace is pinned
     _quadratic: tuple = field(init=False, default=None, repr=False,
                               compare=False)
     _pinned: dict = field(init=False, default_factory=dict, repr=False,
                           compare=False)
+    _modes: dict = field(init=False, default_factory=dict, repr=False,
+                         compare=False)
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
@@ -164,6 +168,27 @@ class SpaceTimeGrid:
             self._pinned[key] = mask
         return self._pinned[key]
 
+    def free_modes(self, data: BoundaryData) -> tuple:
+        """(V, lam) with S_f V_f = M_f V_f diag(lam) and V_f^T M_f V_f = I,
+        for S = G^T W G of the ``dirichlet_operator`` and M the spatial
+        weights, restricted to the spatial nodes ``data`` leaves free.  V
+        is V_f padded with zero rows at pinned nodes, shape
+        (n_space, n_free).  Dense ``eigh`` of M_f^-1/2 S_f M_f^-1/2,
+        cached per pinning of the lateral trace."""
+        key = data.pins_dirichlet
+        if key not in self._modes:
+            G, W = self.dirichlet_operator
+            free = ~self.boundary_mask.ravel() if key else \
+                np.ones(G.shape[1], dtype=bool)
+            S = (G.T @ sp.diags_array(W) @ G).toarray()[np.ix_(free, free)]
+            h = 1.0 / np.sqrt(self.space_weights.ravel()[free])
+            lam, U = np.linalg.eigh(h[:, None] * S * h)
+            V = np.zeros((G.shape[1], len(lam)))
+            V[free] = h[:, None] * U
+            # S_f is semidefinite: a rounded eigenvalue below 0 means 0
+            self._modes[key] = (V, np.maximum(lam, 0.0))
+        return self._modes[key]
+
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """G u on the trailing axes: (*lead, *space) -> (*lead, n_edges)."""
         G, _ = self.dirichlet_operator
@@ -214,6 +239,73 @@ def build_grid(dim, nx, Lx, nt, T_r, ny=None, Ly=None,
         dim=dim, nx=nx, Lx=Lx, nt=nt, T_r=T_r,
         ny=ny or 0, Ly=Ly or 0.0, **extra,
     )
+
+
+class FreeBlockInverse:
+    """Exact inverse of P = Q + 2 sigma diag(node mass) on the free nodes,
+    for Q the ``quadratic_operator(eps)`` and sigma >= 0.
+
+    Every pinning mode leaves a tensor product of nodes free, (t >= 1 or
+    all t) x (interior or all spatial nodes), so on it
+
+        P = 2 [K_f (x) M_f + C_f (x) (eps S_f + sigma M_f)].
+
+    In the spatial modes V of ``free_modes`` this is one tridiagonal matrix
+    in time per mode, 2 [K_f + (eps lam_m + sigma) C_f]: the fast
+    diagonalization method (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
+    They are factored once, as one block tridiagonal system in mode-major
+    order (LAPACK ``dpttrf``; each is symmetric positive definite).
+    """
+
+    def __init__(self, grid: SpaceTimeGrid, data: BoundaryData, eps: float,
+                 sigma: float):
+        self.grid, self.eps, self.sigma = grid, eps, sigma
+        self.V, lam = grid.free_modes(data)
+        self.t0 = t0 = int(data.pins_initial)
+        # K_t = D^T diag(cell_weights / dt^2) D, restricted to t >= t0
+        k_off = grid.cell_weights / grid.dt**2
+        k_diag = np.zeros(grid.nt)
+        k_diag[:-1] += k_off
+        k_diag[1:] += k_off
+        diag = 2.0 * (k_diag[t0:] + (eps * lam[:, None] + sigma)
+                      * grid.node_time_weights[t0:])
+        off = np.zeros(diag.shape)
+        off[:, :-1] = -2.0 * k_off[t0:]
+        self._d, self._e, info = dpttrf(diag.ravel(), off.ravel()[:-1])
+        if info != 0:
+            raise np.linalg.LinAlgError(f"dpttrf failed with info {info}")
+        # modal coefficients, mode-major: (k, n_modes, nt - t0); read as a
+        # Fortran array it is the right-hand side with k columns
+        self._b = np.empty((len(data.v0),) + diag.shape)
+
+    def solve(self, r: np.ndarray, out: np.ndarray | None = None):
+        """P^-1 r on the free nodes and 0 at pinned ones, for r of shape
+        (k, nt, *space), k that of the boundary data; ``out``, when given,
+        must be C-contiguous."""
+        k, nt, t0 = len(r), self.grid.nt, self.t0
+        V = self.V
+        if out is None:
+            out = np.empty(r.shape)
+        R = np.reshape(r, (k, nt, -1))[:, t0:]
+        B = np.matmul(V.T, R.transpose(0, 2, 1), out=self._b)
+        X, _ = dpttrs(self._d, self._e, B.reshape(k, -1).T,
+                      overwrite_b=True)
+        X = X.T.reshape(B.shape).transpose(0, 2, 1)
+        O = out.reshape(k, nt, -1)
+        np.matmul(X, V.T, out=O[:, t0:])
+        O[:, :t0] = 0.0
+        return out
+
+    def quadratic(self, d: np.ndarray) -> float:
+        """d . P d for a field d of shape (k, nt, *space) that is 0 at
+        every pinned node."""
+        Q = self.grid.quadratic_operator(self.eps)
+        dd = d.reshape(len(d), -1)
+        q = sum(float(np.dot(di, Q @ di)) for di in dd)
+        if self.sigma:
+            q += 2.0 * self.sigma * float(np.einsum(
+                "kn,n,kn->", dd, self.grid.node_weights.ravel(), dd))
+        return q
 
 
 @dataclass

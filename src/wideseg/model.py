@@ -42,11 +42,19 @@ class ReactionFamily:
         if self.lam < 0:
             raise ValueError("reaction strength lam must be >= 0")
 
-    def f(self, s):
+    def f(self, s, out=None):
+        """f(s), written into ``out`` when given (an array of s's shape)."""
         s = np.asarray(s, dtype=float)
+        if out is None:
+            out = np.empty(s.shape)
         if self.kind == "zero":
-            return np.zeros_like(s)
-        return self.lam * s * s * (1.0 - s)
+            out[...] = 0.0
+            return out
+        # the operations of lam * s * s * (1 - s), in its order
+        np.multiply(self.lam, s, out=out)
+        out *= s
+        out *= 1.0 - s
+        return out
 
     def F(self, s):
         s = np.asarray(s, dtype=float)
@@ -105,8 +113,12 @@ class SystemSpec:
         return any(r.kind != "zero" for r in self.reactions)
 
     def f_all(self, values: np.ndarray) -> np.ndarray:
-        """Apply f_i componentwise; values has shape (k, ...)."""
-        return np.stack([self.reactions[i].f(values[i]) for i in range(self.k)])
+        """Apply f_i componentwise; values has shape (k, ...).  Each f_i is
+        written into its row of one C-ordered result."""
+        out = np.empty(values.shape)
+        for r, v, o in zip(self.reactions, values, out):
+            r.f(v, out=o)
+        return out
 
     def F_sum(self, values: np.ndarray) -> np.ndarray:
         """sum_i F_i(v_i), pointwise over the trailing axes."""

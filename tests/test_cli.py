@@ -202,6 +202,16 @@ class TestPipeline:
         ):
             assert (out / name).exists(), name
 
+    def test_summary_reports_cauchy_tol_beside_distances(self, run_dir):
+        # the tolerance is reported, not gated: the rows match cauchy.csv
+        _, out = run_dir
+        cauchy = json.loads((out / "summary.json").read_text())["cauchy"]
+        assert cauchy["cauchy_tol"] == 1e-3
+        rows = (out / "cauchy.csv").read_text().splitlines()[1:]
+        assert [[float(c) for c in row.split(",")] for row in rows] == \
+            cauchy["distances"]
+        assert [d[:2] for d in cauchy["distances"]] == [[0.2, 0.1]]
+
     def test_check_subcommand_consistent(self, run_dir, capsys):
         code, out = run_dir
         check_code = main(["check", "--artifacts", str(out)])

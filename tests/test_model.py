@@ -74,6 +74,22 @@ class TestSystemSpec:
         mixed = [ReactionFamily("zero"), ReactionFamily("cubic", 1.0)]
         assert SystemSpec.make(2, A, mixed).reactive
 
+    def test_f_all_is_per_species_f_in_c_order(self):
+        # one preallocated result, bit for bit the per-species values and
+        # the expression lam s^2 (1 - s), whatever the input's layout
+        rng = np.random.default_rng(3)
+        fams = (ReactionFamily("cubic", 1.7), ReactionFamily("zero"),
+                ReactionFamily("cubic", 0.3))
+        spec = SystemSpec.make(3, np.ones((3, 3)) - np.eye(3), fams)
+        v = np.asfortranarray(rng.uniform(-0.2, 1.2, size=(3, 7, 5)))
+        out = spec.f_all(v)
+        assert out.shape == v.shape and out.flags.c_contiguous
+        for i, r in enumerate(fams):
+            np.testing.assert_array_equal(out[i], r.f(v[i]))
+            want = (r.lam * v[i] * v[i] * (1.0 - v[i]) if r.kind == "cubic"
+                    else np.zeros_like(v[i]))
+            assert out[i].tobytes() == np.ascontiguousarray(want).tobytes()
+
     def test_M_bound_cubic(self):
         spec = SystemSpec.make(
             2, [[0, 1], [1, 0]],

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from wideseg.functional import eval_J_value
-from wideseg.grid import StateField, build_grid
+from wideseg.functional import eval_J_change, eval_J_value, grad_J
+from wideseg.grid import FreeBlockInverse, StateField, build_grid
 from wideseg.model import BoundaryData, SystemSpec, preset_v0
 from wideseg.optimizer import (
-    OptimizerConfig, _kkt_norm, curvature_estimate, default_init, minimize,
-    node_mass, projected_bb,
+    ROUNDOFF_RTOL, OptimizerConfig, _kkt_norm, curvature_estimate,
+    default_init, minimize, node_mass, penalty_shift, projected_bb,
 )
 
 T_R = 20.0
@@ -199,6 +199,105 @@ class TestMinimize:
         assert len(layouts) > 2 and all(layouts)
         np.testing.assert_allclose(x, np.clip(target, 0.0, 1.0), rtol=0,
                                    atol=1e-5)
+
+
+def kkt_of(res, g, spec, data, eps, beta):
+    """The KKT residual of a space-time result, from grad_J and node mass."""
+    mass = node_mass(g, spec)
+    mass[:, g.pinned(data)] = 0.0
+    gh = np.divide(grad_J(res.field, eps, beta, data), mass,
+                   out=np.zeros(mass.shape), where=mass > 0)
+    return kkt_reference(res.field.values, gh)
+
+
+class TestPreconditioned:
+    """A rung without a support descends in the metric of the exact
+    inverse of Q + 2 sigma mass; with a support it keeps the mass."""
+
+    @pytest.mark.parametrize("beta", [10.0, 1000.0])
+    def test_same_minimizer_as_inverse_mass_path(self, beta):
+        # a support that covers every node is the inverse-mass path
+        g, spec, data = setup()
+        res = minimize(spec, data, g, 0.1, beta)
+        full = np.ones((2, g.nt) + g.space_shape, dtype=bool)
+        ref = minimize(spec, data, g, 0.1, beta, support=full)
+        assert res.converged and ref.converged
+        assert res.trace.J == pytest.approx(ref.trace.J, rel=1e-10)
+        assert kkt_of(res, g, spec, data, 0.1, beta) <= 1e-5
+        h = np.asarray(res.J_history)
+        assert np.all(np.diff(h) <= ROUNDOFF_RTOL * abs(h[0]))
+        if beta == 10.0:
+            # 9 against 82 iterations: a bypassed preconditioner fails this
+            assert res.iters <= ref.iters / 5
+
+    def test_support_keeps_inverse_mass_iterates(self):
+        # the loop without a preconditioner, called directly, gives the
+        # refine's iterates bit for bit
+        g, spec, data = setup()
+        eps, beta = 0.1, 0.0
+        support = np.zeros((2, g.nt) + g.space_shape, dtype=bool)
+        support[0, :, :9] = True
+        support[1, :, 8:] = True
+        res = minimize(spec, data, g, eps, beta, support=support)
+
+        mass = node_mass(g, spec)
+        mass[:, g.pinned(data)] = 0.0
+        mass[~support] = 0.0
+        x0 = default_init(spec, data, g).values
+        x0[~support] = 0.0
+        field = lambda x: StateField(x, g, spec)
+        x, info = projected_bb(
+            x0, lambda x: eval_J_value(field(x), eps, beta),
+            lambda x: grad_J(field(x), eps, beta, data), mass,
+            OptimizerConfig(), curvature_estimate(g, spec, eps, beta),
+            lambda x, d: eval_J_change(field(x), d, eps, beta),
+        )
+        assert res.converged and res.iters > 20
+        np.testing.assert_array_equal(res.field.values, x)
+        assert res.J_history == info["J_history"]
+
+    def test_shift_is_median_penalty_curvature(self):
+        # 2 sigma is the median over free entries of 2 beta eps (A x0^2)
+        g, spec, data = setup(nx=7, nt=11)
+        x0 = default_init(spec, data, g).values
+        free = ~g.pinned(data)
+        h = 2.0 * 100.0 * 0.1 * (x0[::-1] ** 2)[:, free]
+        sigma = penalty_shift(x0, spec, 0.1, 100.0, g.pinned(data))
+        assert 2.0 * sigma == pytest.approx(np.median(h), rel=1e-14)
+        assert penalty_shift(x0, spec, 0.1, 0.0, g.pinned(data)) == 0.0
+
+    def test_unclipped_steps_need_no_quadratic(self):
+        # an unclipped trial along P^-1 g has Ps = -t g, so d.Pd comes from
+        # g.d; quadratic is asked only after a trial the box cut
+        g, spec, data = setup(nx=7, nt=11)
+        inv = FreeBlockInverse(g, data, 0.1, 0.0)
+        calls = []
+        quadratic = inv.quadratic
+        inv.quadratic = lambda d: calls.append(1) or quadratic(d)
+        target = np.full((2, g.nt) + g.space_shape, 0.5)
+        target[:, g.pinned(data)] = 0.0
+        Q = g.quadratic_operator(0.1)
+
+        def value_fn(x):
+            e = (x - target).reshape(2, -1)
+            return 0.5 * sum(float(ei @ (Q @ ei)) for ei in e)
+
+        def grad_fn(x):
+            e = (x - target).reshape(2, -1)
+            out = np.stack([Q @ ei for ei in e]).reshape(x.shape)
+            out[:, g.pinned(data)] = 0.0
+            return out
+
+        mass = node_mass(g, spec)
+        mass[:, g.pinned(data)] = 0.0
+        x0 = np.full(target.shape, 0.4)
+        x0[:, g.pinned(data)] = 0.0
+        x, info = projected_bb(
+            x0, value_fn, grad_fn, mass, OptimizerConfig(grad_tol=1e-9), 1e4,
+            lambda x, d: value_fn(x + d) - value_fn(x), inv)
+        assert info["converged"] and info["iters"] <= 2
+        assert calls == []
+        np.testing.assert_allclose(x, target, rtol=0, atol=1e-9)
 
 
 def kkt_reference(x, gh):
