@@ -2,8 +2,8 @@
 
 Exit-code contract: 0 all enabled checks pass, 1 numerical failure (the
 failing stage is named), 2 configuration failure (the offending field is
-named).  Identical config and seed reproduce summary.json bit-for-bit
-except for the ``meta`` block, which carries timestamps.
+named).  Identical config reproduces summary.json bit-for-bit except for
+the ``meta`` block, which carries timestamps.
 """
 
 from __future__ import annotations
@@ -152,7 +152,7 @@ def parse_config(path) -> RunConfig:
 
     try:
         opt = OptimizerConfig(**_set_keys(
-            cp, "optimizer", max_iters=int, grad_tol=float, seed=int))
+            cp, "optimizer", max_iters=int, grad_tol=float))
     except ValueError as exc:
         raise ConfigError("optimizer", str(exc))
 
@@ -478,8 +478,6 @@ def _load_rc(args) -> RunConfig:
     rc = parse_config(args.config)
     if getattr(args, "out", None):
         rc.out_dir = args.out
-    if getattr(args, "seed", None) is not None:
-        rc.optimizer.seed = args.seed
     return rc
 
 
@@ -578,7 +576,6 @@ def main(argv=None) -> int:
     def add_common(p):
         p.add_argument("--config", required=True)
         p.add_argument("--out", default=None)
-        p.add_argument("--seed", type=int, default=None)
 
     p = sub.add_parser("run", help="full ladder pipeline with diagnostics")
     add_common(p)

@@ -15,9 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import overlap
+from .functional import competitor_field
 from .grid import SpaceTimeGrid, StateField, resample_in_time
 from .model import BoundaryData, SystemSpec
-from .optimizer import OptimizeResult, OptimizerConfig, default_init, minimize
+from .optimizer import OptimizeResult, OptimizerConfig, minimize
 
 
 @dataclass
@@ -95,7 +96,7 @@ def run_beta_ladder(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
     """Ascend the penalty ladder at fixed eps, warm-starting each rung."""
     cfg = config or OptimizerConfig()
     if init is None:
-        init = default_init(spec, data, grid, mode="competitor", seed=cfg.seed)
+        init = competitor_field(data, grid, spec)
 
     def solve(beta, values, support):
         res = minimize(spec, data, grid, eps, beta, cfg,

@@ -134,27 +134,44 @@ class SpaceTimeGrid:
             W = 0.5 * W
         return G, W
 
+    @cached_property
+    def dirichlet_stiffness(self):
+        """Sparse S = G^T diag(W) G of the ``dirichlet_operator``: the
+        spatial factor of the Dirichlet form, u^T S u = sum_e W_e (G u)_e^2."""
+        G, W = self.dirichlet_operator
+        return G.T @ sp.diags_array(W) @ G
+
+    @cached_property
+    def time_stiffness(self) -> tuple:
+        """(diag, off) of the tridiagonal K_t = D_t^T diag(cell_weights /
+        dt^2) D_t, D_t the forward difference in time: the kinetic form
+        sum_j cell_weights_j ((u_{j+1} - u_j) / dt)^2 is u^T K_t u."""
+        c = self.cell_weights / self.dt**2
+        diag = np.zeros(self.nt)
+        diag[:-1] += c
+        diag[1:] += c
+        off = -c
+        diag.flags.writeable = off.flags.writeable = False
+        return diag, off
+
     def quadratic_operator(self, eps: float):
         """Sparse Q with sum_i 1/2 u_i^T Q u_i the functional's kinetic plus
         eps times its Dirichlet term, u_i one species on the C-ordered
         (time, *space) nodes:
 
-            Q = 2 [K_t (x) M_x + eps C_t (x) G^T W G],
+            Q = 2 [K_t (x) M_x + eps C_t (x) S],
 
-        K_t the time stiffness with weights cell_weights / dt^2, C_t the
-        node time weights, M_x the spatial weights and (G, W) the
-        ``dirichlet_operator``.  Q is symmetric with off-diagonals <= 0 and
-        Q 1 = 0.  Kept for the latest eps only.
+        K_t the ``time_stiffness``, C_t the node time weights, M_x the
+        spatial weights and S the ``dirichlet_stiffness``.  Q is symmetric
+        with off-diagonals <= 0 and Q 1 = 0.  Kept for the latest eps only.
         """
         if self._quadratic is None or self._quadratic[0] != eps:
-            G, W = self.dirichlet_operator
-            D_t = sp.diags_array([-1.0, 1.0], offsets=[0, 1],
-                                 shape=(self.nt - 1, self.nt))
-            K_t = D_t.T @ sp.diags_array(self.cell_weights / self.dt**2) @ D_t
-            S = G.T @ sp.diags_array(W) @ G
+            diag, off = self.time_stiffness
+            K_t = sp.diags_array([off, diag, off], offsets=[-1, 0, 1])
             Q = 2.0 * (
                 sp.kron(K_t, sp.diags_array(self.space_weights.ravel()))
-                + eps * sp.kron(sp.diags_array(self.node_time_weights), S))
+                + eps * sp.kron(sp.diags_array(self.node_time_weights),
+                                self.dirichlet_stiffness))
             self._quadratic = (eps, Q.tocsr())
         return self._quadratic[1]
 
@@ -177,13 +194,13 @@ class SpaceTimeGrid:
         cached per pinning of the lateral trace."""
         key = data.pins_dirichlet
         if key not in self._modes:
-            G, W = self.dirichlet_operator
+            S = self.dirichlet_stiffness.toarray()
             free = ~self.boundary_mask.ravel() if key else \
-                np.ones(G.shape[1], dtype=bool)
-            S = (G.T @ sp.diags_array(W) @ G).toarray()[np.ix_(free, free)]
+                np.ones(len(S), dtype=bool)
+            S = S[np.ix_(free, free)]
             h = 1.0 / np.sqrt(self.space_weights.ravel()[free])
             lam, U = np.linalg.eigh(h[:, None] * S * h)
-            V = np.zeros((G.shape[1], len(lam)))
+            V = np.zeros((len(free), len(lam)))
             V[free] = h[:, None] * U
             # S_f is semidefinite: a rounded eigenvalue below 0 means 0
             self._modes[key] = (V, np.maximum(lam, 0.0))
@@ -262,15 +279,12 @@ class FreeBlockInverse:
         self.grid, self.eps, self.sigma = grid, eps, sigma
         self.V, lam = grid.free_modes(data)
         self.t0 = t0 = int(data.pins_initial)
-        # K_t = D^T diag(cell_weights / dt^2) D, restricted to t >= t0
-        k_off = grid.cell_weights / grid.dt**2
-        k_diag = np.zeros(grid.nt)
-        k_diag[:-1] += k_off
-        k_diag[1:] += k_off
+        # K_t restricted to t >= t0
+        k_diag, k_off = grid.time_stiffness
         diag = 2.0 * (k_diag[t0:] + (eps * lam[:, None] + sigma)
                       * grid.node_time_weights[t0:])
         off = np.zeros(diag.shape)
-        off[:, :-1] = -2.0 * k_off[t0:]
+        off[:, :-1] = 2.0 * k_off[t0:]
         self._d, self._e, info = dpttrf(diag.ravel(), off.ravel()[:-1])
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrf failed with info {info}")

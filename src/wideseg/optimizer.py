@@ -1,14 +1,17 @@
 """Box-projected gradient descent with Barzilai-Borwein steps.
 
-Two preconditioners P set the direction -P^-1 g and the metric of the BB
-steps.
+One loop serves every minimization.  A metric P, an object with
+``solve(g, out)`` (P^-1 g) and ``quadratic(d)`` (d.Pd), sets the direction
+-P^-1 g and the inner product of the BB steps (Molina & Raydan, Numer.
+Algorithms 13, 1996).  Two metrics are in use, each with natural step 1:
 
-- The node quadrature mass (time-cell weight times spatial trapezoid
-  weight).  It turns the gradient into an O(1) residual density across
-  the exponentially weighted mesh; without it, late-time nodes see
-  gradients around e^{-T_r} times smaller than early ones and a scalar
-  step cannot serve both.  Refines on a prescribed support and the
-  stationary oracle use it.
+- ``InverseMass``, P = L diag(mass): the node quadrature mass (time-cell
+  weight times spatial trapezoid weight) scaled by the curvature bound L.
+  It turns the gradient into an O(1) residual density across the
+  exponentially weighted mesh; without it, late-time nodes see gradients
+  around e^{-T_r} times smaller than early ones and a scalar step cannot
+  serve both.  Refines on a prescribed support and the stationary oracle
+  use it.
 - On a penalty rung (no support), the exact inverse of
   Q + 2 sigma diag(mass) on the free nodes, ``grid.FreeBlockInverse``:
   Q the functional's kinetic and Dirichlet form, 2 sigma the median
@@ -17,12 +20,11 @@ steps.
   diagonalization method inverts it exactly.  At the rungs' minimizers
   fewer than 0.1% of the free entries sit on a bound, so a direction that
   knows the curvature pays: on the 1-D desk ladder the penalty rungs take
-  8-91 iterations against 209-403 in the mass metric.  The BB steps are
-  those of the P metric (Molina & Raydan, Numer. Algorithms 13, 1996).
+  8-91 iterations against 209-403 in the mass metric.
 
 Convergence is always measured on g / mass, after removing components
-blocked by active box constraints, so ``grad_tol`` means the same with
-either preconditioner.
+blocked by active box constraints, so ``grad_tol`` means the same in
+either metric.
 
 The first trial step of an iteration follows the adaptive Barzilai-Borwein
 rule ABBmin (Frassoldati, Zanghirati & Zanni, J. Ind. Manag. Optim. 4,
@@ -49,17 +51,13 @@ array costs several times one that only reads: on a 2-core x86 box with a
 2 MB L2, about 1.1 ns per entry against 0.2 ns for an ``np.dot``
 reduction, at 87,567 entries.  So one iteration writes as few fields as it
 can.  The loop owns C-ordered buffers for the iterate, the trial point,
-the trial step d, the preconditioned gradient and one scratch array, and
-swaps them rather than allocating.  The accepted d is the move s of the BB
-products, and the change of the preconditioned gradient is written over
-its previous value.  With the mass, s.s, s.y and y.y are mass-weighted
-three-operand ``einsum`` reductions and preconditioning multiplies by an
-inverse mass built once per call.  With P, g / mass is the scratch
-array: y (raw) is written over it and it is rebuilt after the products,
-P^-1 g goes into the trial buffer, and s.Ps is -t g.d for an unclipped
-trial (``quadratic`` only after a clipped one).  The Armijo product g.d
-is a reduction, and the KKT residual is two reductions unless an extreme
-entry is blocked.
+the trial step d, g / mass and P^-1 g, and swaps them rather than
+allocating.  The accepted d is the move s of the BB products.  y (raw) is
+written over g / mass, which is rebuilt after the products; P^-1 g goes
+into the trial buffer and P^-1 y over the old P^-1 g.  s.Ps is -t g.d for
+an unclipped trial (``quadratic`` only after a clipped one).  The Armijo
+product g.d is a reduction, and the KKT residual is two reductions unless
+an extreme entry is blocked.
 """
 
 from __future__ import annotations
@@ -70,7 +68,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import grid as gridmod
-from .functional import EnergyTrace, eval_J, eval_J_change, eval_J_value, grad_J
+from .functional import (
+    EnergyTrace, competitor_field, eval_J, eval_J_change, eval_J_value, grad_J,
+)
 from .grid import SpaceTimeGrid, StateField
 from .model import BoundaryData, SystemSpec
 
@@ -79,7 +79,6 @@ from .model import BoundaryData, SystemSpec
 class OptimizerConfig:
     max_iters: int = 4000
     grad_tol: float = 1e-5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.grad_tol <= 0:
@@ -124,6 +123,31 @@ def _mass_dot(mass: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("i,i,i->", mass, a, b))
 
 
+class InverseMass:
+    """The metric P = L diag(mass) of ``projected_bb``: step 1 along
+    P^-1 g is step 1/L along g / mass.
+
+    ``inv_mass`` is 1 / mass, and 0 where the mass is, so P^-1 g is 0 at
+    zero-mass entries.  It is the loop's own array, shared, not copied.
+    """
+
+    def __init__(self, mass: np.ndarray, inv_mass: np.ndarray,
+                 lipschitz: float):
+        self.mass, self.inv_mass = np.ravel(mass), inv_mass
+        self.lipschitz = lipschitz
+
+    def solve(self, g: np.ndarray, out: np.ndarray | None = None):
+        """P^-1 g, into ``out`` when given."""
+        out = np.multiply(g, self.inv_mass, out=out)
+        out *= 1.0 / self.lipschitz
+        return out
+
+    def quadratic(self, d: np.ndarray) -> float:
+        """d . P d."""
+        dd = np.ravel(d)
+        return self.lipschitz * _mass_dot(self.mass, dd, dd)
+
+
 #: round-off allowance on a difference of two full objective values, as a
 #: fraction of the objective.  On the 1-D (nx=63, nt=201, eps down to 0.05,
 #: at most 1200 iterations per rung) and 2-D (15 x 15, nt=101) desk
@@ -156,38 +180,38 @@ def projected_bb(x0, value_fn, grad_fn, mass, cfg: OptimizerConfig,
     value_fn(x) -> scalar, grad_fn(x) -> raw gradient, mass -> quadrature
     mass per entry (the inner product of the KKT residual), change_fn(x, d)
     -> value_fn(x + d) - value_fn(x) computed without cancellation.
-    ``lipschitz`` is a curvature estimate for the mass-preconditioned
-    gradient, used for the fallback step 1/L.
+    ``lipschitz`` is a curvature estimate L for the mass-preconditioned
+    gradient, used for the fallback step 1/L and the default metric.
 
     The direction and the BB metric come from ``precond``: an object with
     ``solve(g, out)``, returning P^-1 g for a symmetric positive definite
     P, and ``quadratic(d)``, returning d.P d (``grid.FreeBlockInverse``).
-    Without it P is the diagonal of the mass, and the BB products are the
-    mass-weighted ``_mass_dot`` products of s and the change of g / mass.
-    The natural step is 1 with ``precond`` and 1/L without: it is the
-    first trial and the step after a pass with s.y <= 0.
+    It defaults to ``InverseMass``, P = L diag(mass).  The natural step is
+    1: it is the first trial and the step after a pass with s.y <= 0.
 
     ``x0`` must lie in the box; it is copied, never written, and every
     callback gets C-contiguous arrays.  Every trial point is ``x - s * gh``
-    clipped to [0, 1], gh the preconditioned gradient.  Entries with zero
-    mass get a preconditioned gradient of exactly 0 (``precond`` must give
-    it too), so they never move from ``x0``: callers hold pinned
-    entries and nodes outside a prescribed support fixed by setting them
-    in ``x0`` and giving them zero mass, not by projecting every trial.
+    clipped to [0, 1], gh = P^-1 g.  Entries with zero mass get gh exactly
+    0 (``precond`` must give it too), so they never move from ``x0``:
+    callers hold pinned entries and nodes outside a prescribed support
+    fixed by setting them in ``x0`` and giving them zero mass, not by
+    projecting every trial.
 
     A trial point is judged on the decrease ``J_new - J``; when that
     difference of full sums is within ``ROUNDOFF_RTOL * |J|`` of the bound
     it is tested against, it cannot decide, and ``change_fn`` gives the
     decrease instead.  The first trial step is ABBmin's choice between
     BB1 and the least of the last ``ABB_MEMORY`` BB2 values (see the
-    module docstring), clamped to [``MIN_STEP``, 1e6 times the natural
-    step]; the threshold and the BB2 memory start afresh on every call.
-    Backtracking shrinks the step by ``BACKTRACK_FACTOR`` until it meets
-    the Armijo condition (fraction ``ARMIJO``) on that decrease, down to
-    ``MIN_STEP``; failing that, the short step 1/L along g / mass is taken
-    only if it strictly decreases J by the same measure, and otherwise the
-    loop stops.  A stop reports ``converged`` only if the KKT residual,
-    always that of g / mass, is within ``grad_tol``.
+    module docstring), clamped to [``MIN_STEP``, 1e6]; the threshold and
+    the BB2 memory start afresh on every call.  Backtracking shrinks the
+    step by ``BACKTRACK_FACTOR`` until it meets the Armijo condition
+    (fraction ``ARMIJO``) on that decrease, down to ``MIN_STEP``; failing
+    that, the short step 1/L along g / mass is taken only if it strictly
+    decreases J by the same measure, and otherwise the loop stops.  With a
+    P that is not diagonal a clipped step along P^-1 g need not descend
+    (Bertsekas, SIAM J. Control Optim. 20, 1982), which this fallback
+    covers.  A stop reports ``converged`` only if the KKT residual, always
+    that of g / mass, is within ``grad_tol``.
 
     ``stop_reason`` says where the loop ended: ``"converged"`` (KKT
     residual within ``grad_tol``), ``"no_descent"`` (no step decreased J)
@@ -199,20 +223,17 @@ def projected_bb(x0, value_fn, grad_fn, mass, cfg: OptimizerConfig,
     x_new = np.empty_like(x)      # trial point; KKT terms
     d = np.empty_like(x)          # trial step x_new - x
     inv_mass = np.divide(1.0, mass, out=np.zeros(x.shape), where=mass > 0)
-    mass_flat = np.ravel(mass)
+    if precond is None:
+        precond = InverseMass(mass, inv_mass, lipschitz)
 
     J = value_fn(x)
     history = [J]
     g = grad_fn(x)
     # gm = g / mass gives the KKT residual and the fallback direction
     gm = g * inv_mass
+    gh = precond.solve(g, np.empty_like(x))
     s_fallback = 1.0 / lipschitz
-    if precond is None:
-        # gh is gm; scratch takes the next one, swapped with gh every step
-        gh, scratch, unit = gm, np.empty_like(x), s_fallback
-    else:
-        gh, unit = precond.solve(g, np.empty_like(x)), 1.0
-    s = unit
+    s = 1.0
     tau = ABB_TAU0
     bb2_recent = deque(maxlen=ABB_MEMORY)
     it = 0
@@ -222,14 +243,14 @@ def projected_bb(x0, value_fn, grad_fn, mass, cfg: OptimizerConfig,
             stop_reason = "converged"
             break
 
-        s = min(max(s, MIN_STEP), 1e6 * unit)
+        s = min(max(s, MIN_STEP), 1e6)
         trial, direction = s, gh
         fallback = False
         while True:
             np.multiply(direction, -trial, out=x_new)
             x_new += x
             # s.Ps = -trial g.d holds for a trial along gh that no bound cut
-            exact = precond is not None and not fallback and \
+            exact = not fallback and \
                 x_new.min() >= 0.0 and x_new.max() <= 1.0
             np.clip(x_new, 0.0, 1.0, out=x_new)
             np.subtract(x_new, x, out=d)
@@ -258,31 +279,19 @@ def projected_bb(x0, value_fn, grad_fn, mass, cfg: OptimizerConfig,
         x, x_new = x_new, x
         J = J_new
         history.append(J)
-        move = d.ravel()
-        if precond is None:
-            # the new preconditioned gradient goes to scratch and y over the
-            # old one; the move s of the BB products is the accepted d
-            g = grad_fn(x)
-            np.multiply(g, inv_mass, out=scratch)
-            y = np.subtract(scratch, gh, out=gh).ravel()
-            gh, scratch = scratch, gh
-            gm = gh
-            ss = _mass_dot(mass_flat, move, move)
-            sy = _mass_dot(mass_flat, move, y)
-            yy = _mass_dot(mass_flat, y, y)
-        else:
-            # y over gm, the new gh over x_new (the old iterate) and
-            # P^-1 y over the old gh; gm is rebuilt once y is used
-            g_new = grad_fn(x)
-            y = np.subtract(g_new, g, out=gm).ravel()
-            g = g_new
-            precond.solve(g, x_new)
-            y_hat = np.subtract(x_new, gh, out=gh).ravel()
-            gh, x_new = x_new, gh
-            ss = -trial * gd if exact else precond.quadratic(d)
-            sy = float(np.dot(move, y))
-            yy = float(np.dot(y_hat, y))
-            np.multiply(g, inv_mass, out=gm)
+        # y over gm, the new gh over x_new (the old iterate) and P^-1 y
+        # over the old gh; gm is rebuilt once y is used.  The move s of
+        # the BB products is the accepted d
+        g_new = grad_fn(x)
+        y = np.subtract(g_new, g, out=gm).ravel()
+        g = g_new
+        precond.solve(g, x_new)
+        y_hat = np.subtract(x_new, gh, out=gh).ravel()
+        gh, x_new = x_new, gh
+        ss = -trial * gd if exact else precond.quadratic(d)
+        sy = float(np.dot(d.ravel(), y))
+        yy = float(np.dot(y_hat, y))
+        np.multiply(g, inv_mass, out=gm)
         if sy > 0 and ss > 0 and yy > 0:
             bb1, bb2 = ss / sy, sy / yy
             bb2_recent.append(bb2)
@@ -293,7 +302,7 @@ def projected_bb(x0, value_fn, grad_fn, mass, cfg: OptimizerConfig,
                 s = bb1
                 tau *= 1.1
         else:
-            s = unit
+            s = 1.0
     else:
         # the cap was reached: judge the iterate of the last accepted step
         pg_norm = _kkt_norm(x, gm, x_new)
@@ -346,30 +355,14 @@ def penalty_shift(x0: np.ndarray, spec: SystemSpec, eps: float,
     return float(beta * eps * np.median(h, overwrite_input=True))
 
 
-def default_init(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
-                 mode: str = "competitor", seed: int = 0) -> StateField:
-    """Starting fields: the time-constant extension of v0 (``competitor``)
-    or seeded segregation-respecting noise (``random``), traces re-imposed."""
-    shape = (spec.k, grid.nt) + grid.space_shape
-    if mode == "competitor":
-        vals = np.broadcast_to(data.v0[:, None], shape).copy()
-    elif mode == "random":
-        rng = np.random.default_rng(seed)
-        noise = rng.uniform(0.0, 1.0, size=shape)
-        support = (data.v0 > 0).astype(float)  # (k, *space)
-        vals = noise * support[:, None]
-    else:
-        raise ValueError(f"unknown init mode {mode!r}")
-    gridmod.impose_pins(vals, grid, data)
-    field = StateField(np.clip(vals, 0.0, 1.0), grid, spec)
-    return field
-
-
 def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
              eps: float, beta: float, config: OptimizerConfig | None = None,
              init: StateField | str = "competitor",
              support: np.ndarray | None = None) -> OptimizeResult:
-    """Minimize the discrete functional over the constrained box.
+    """Minimize the discrete functional over the constrained box, from
+    ``init`` or, for ``"competitor"``, the cold start
+    ``functional.competitor_field``; the start is clipped to the box and
+    the pins are imposed on it.
 
     With ``support`` (a (k, nt, *space) boolean mask), nodes outside the
     mask are held at zero: this minimizes over fields with a prescribed
@@ -379,7 +372,9 @@ def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
     """
     cfg = config or OptimizerConfig()
     if isinstance(init, str):
-        init = default_init(spec, data, grid, mode=init, seed=cfg.seed)
+        if init != "competitor":
+            raise ValueError(f"unknown init {init!r}")
+        init = competitor_field(data, grid, spec)
     mass = node_mass(grid, spec)
     mass[:, grid.pinned(data)] = 0.0
     x0 = np.clip(init.values, 0.0, 1.0)

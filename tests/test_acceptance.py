@@ -264,7 +264,6 @@ epsilons = 0.2 0.1
 
 [optimizer]
 max_iters = 1500
-seed = 3
 
 [diagnostics]
 n_x_bumps = 3

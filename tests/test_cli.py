@@ -34,7 +34,6 @@ cauchy_tol = 1e-3
 [optimizer]
 max_iters = 1500
 grad_tol = 1e-5
-seed = 0
 
 [diagnostics]
 n_x_bumps = 3
@@ -62,7 +61,6 @@ class TestParseConfig:
 
     def test_left_out_keys_take_class_defaults(self, tmp_path):
         sparse = BASE_CFG.replace("reactions = zero zero\n", "")
-        sparse = sparse.replace("seed = 0\n", "")
         sparse = sparse[:sparse.index("[diagnostics]")]
         rc = parse_config(write_cfg(tmp_path, sparse))
         assert all(r.kind == "zero" for r in rc.spec.reactions)

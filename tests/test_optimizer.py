@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from wideseg.functional import eval_J_change, eval_J_value, grad_J
+from wideseg.functional import (
+    competitor_field, eval_J_change, eval_J_value, grad_J,
+)
 from wideseg.grid import FreeBlockInverse, StateField, build_grid
 from wideseg.model import BoundaryData, SystemSpec, preset_v0
 from wideseg.optimizer import (
-    ROUNDOFF_RTOL, OptimizerConfig, _kkt_norm, curvature_estimate,
-    default_init, minimize, node_mass, penalty_shift, projected_bb,
+    ROUNDOFF_RTOL, InverseMass, OptimizerConfig, _kkt_norm,
+    curvature_estimate, minimize, node_mass, penalty_shift, projected_bb,
 )
 
 T_R = 20.0
@@ -20,6 +22,13 @@ def setup(nx=15, nt=31):
         preset_v0("two_ramp", g.x_field(), 2), "dirichlet_and_initial"
     )
     return g, spec, data
+
+
+def noise_start(g, spec, data, seed=0):
+    """Seeded uniform noise on the support of each species' v0."""
+    rng = np.random.default_rng(seed)
+    noise = rng.uniform(0.0, 1.0, size=(spec.k, g.nt) + g.space_shape)
+    return StateField(noise * (data.v0 > 0)[:, None], g, spec)
 
 
 class TestMinimize:
@@ -49,7 +58,7 @@ class TestMinimize:
         g, spec, data = setup(nx=7, nt=11)
         res = minimize(
             spec, data, g, 0.1, 100.0,
-            OptimizerConfig(max_iters=300), init="random",
+            OptimizerConfig(max_iters=300), init=noise_start(g, spec, data),
         )
         h = np.asarray(res.J_history)
         assert np.all(np.diff(h) <= 1e-12)
@@ -65,7 +74,7 @@ class TestMinimize:
     def test_beats_competitor(self):
         g, spec, data = setup()
         res = minimize(spec, data, g, 0.1, 100.0)
-        comp = default_init(spec, data, g, mode="competitor")
+        comp = competitor_field(data, g, spec)
         assert res.trace.J <= eval_J_value(comp, 0.1, 100.0) + 1e-12
 
     def test_support_mask_enforced(self):
@@ -80,7 +89,7 @@ class TestMinimize:
         g, spec, data = setup()
         res = minimize(
             spec, data, g, 0.05, 1000.0,
-            OptimizerConfig(max_iters=2), init="random",
+            OptimizerConfig(max_iters=2), init=noise_start(g, spec, data),
         )
         assert not res.converged
         assert res.stop_reason == "max_iters"
@@ -231,7 +240,7 @@ class TestPreconditioned:
             assert res.iters <= ref.iters / 5
 
     def test_support_keeps_inverse_mass_iterates(self):
-        # the loop without a preconditioner, called directly, gives the
+        # the loop in its default metric, called directly, gives the
         # refine's iterates bit for bit
         g, spec, data = setup()
         eps, beta = 0.1, 0.0
@@ -243,7 +252,7 @@ class TestPreconditioned:
         mass = node_mass(g, spec)
         mass[:, g.pinned(data)] = 0.0
         mass[~support] = 0.0
-        x0 = default_init(spec, data, g).values
+        x0 = competitor_field(data, g, spec).values
         x0[~support] = 0.0
         field = lambda x: StateField(x, g, spec)
         x, info = projected_bb(
@@ -259,45 +268,91 @@ class TestPreconditioned:
     def test_shift_is_median_penalty_curvature(self):
         # 2 sigma is the median over free entries of 2 beta eps (A x0^2)
         g, spec, data = setup(nx=7, nt=11)
-        x0 = default_init(spec, data, g).values
+        x0 = competitor_field(data, g, spec).values
         free = ~g.pinned(data)
         h = 2.0 * 100.0 * 0.1 * (x0[::-1] ** 2)[:, free]
         sigma = penalty_shift(x0, spec, 0.1, 100.0, g.pinned(data))
         assert 2.0 * sigma == pytest.approx(np.median(h), rel=1e-14)
         assert penalty_shift(x0, spec, 0.1, 0.0, g.pinned(data)) == 0.0
 
-    def test_unclipped_steps_need_no_quadratic(self):
+    @pytest.mark.parametrize("metric", [InverseMass, FreeBlockInverse])
+    def test_unclipped_steps_need_no_quadratic(self, metric, monkeypatch):
         # an unclipped trial along P^-1 g has Ps = -t g, so d.Pd comes from
-        # g.d; quadratic is asked only after a trial the box cut
+        # g.d; quadratic is asked only after a trial the box cut.  The
+        # objective is 1/2 e.Pe for e = x - target, so P^-1 g = e and the
+        # first step lands on the target
         g, spec, data = setup(nx=7, nt=11)
-        inv = FreeBlockInverse(g, data, 0.1, 0.0)
         calls = []
-        quadratic = inv.quadratic
-        inv.quadratic = lambda d: calls.append(1) or quadratic(d)
+        quadratic = metric.quadratic
+        monkeypatch.setattr(
+            metric, "quadratic",
+            lambda self, d: calls.append(1) or quadratic(self, d))
         target = np.full((2, g.nt) + g.space_shape, 0.5)
         target[:, g.pinned(data)] = 0.0
-        Q = g.quadratic_operator(0.1)
+        mass = node_mass(g, spec)
+        mass[:, g.pinned(data)] = 0.0
+        L = 1e4
+        if metric is InverseMass:
+            # projected_bb builds this metric itself
+            precond = None
+            apply_P = lambda e: L * mass * e
+        else:
+            precond = FreeBlockInverse(g, data, 0.1, 0.0)
+            Q = g.quadratic_operator(0.1)
+            apply_P = lambda e: np.stack(
+                [Q @ ei for ei in e.reshape(2, -1)]).reshape(e.shape)
 
         def value_fn(x):
-            e = (x - target).reshape(2, -1)
-            return 0.5 * sum(float(ei @ (Q @ ei)) for ei in e)
+            e = x - target
+            return 0.5 * float(np.vdot(e, apply_P(e)))
 
         def grad_fn(x):
-            e = (x - target).reshape(2, -1)
-            out = np.stack([Q @ ei for ei in e]).reshape(x.shape)
+            out = apply_P(x - target)
             out[:, g.pinned(data)] = 0.0
             return out
 
-        mass = node_mass(g, spec)
-        mass[:, g.pinned(data)] = 0.0
         x0 = np.full(target.shape, 0.4)
         x0[:, g.pinned(data)] = 0.0
         x, info = projected_bb(
-            x0, value_fn, grad_fn, mass, OptimizerConfig(grad_tol=1e-9), 1e4,
-            lambda x, d: value_fn(x + d) - value_fn(x), inv)
+            x0, value_fn, grad_fn, mass, OptimizerConfig(grad_tol=1e-9), L,
+            lambda x, d: value_fn(x + d) - value_fn(x), precond)
         assert info["converged"] and info["iters"] <= 2
         assert calls == []
         np.testing.assert_allclose(x, target, rtol=0, atol=1e-9)
+
+    def test_clipped_ascent_falls_back_to_inverse_mass_step(self):
+        # with a P that is not diagonal, the clipped step along P^-1 g can
+        # ascend at every length: from (0, 0.5) the box cuts the first
+        # entry and leaves the second moving up.  Only the 1/L step along
+        # g / mass descends, and it lands on the minimizer over the box
+        c = np.array([-1.0, 0.4])
+        P = np.array([[1.0, 0.9], [0.9, 1.0]])
+
+        class Dense:
+            def solve(self, r, out=None):
+                out = np.empty(r.shape) if out is None else out
+                out[:] = np.linalg.solve(P, r)
+                return out
+
+            def quadratic(self, d):
+                return float(d @ P @ d)
+
+        calls = []
+
+        def value_fn(x):
+            calls.append(1)
+            return 0.5 * float(x @ x) - float(c @ x)
+
+        x, info = projected_bb(
+            np.array([0.0, 0.5]), value_fn, lambda x: x - c, np.ones(2),
+            OptimizerConfig(), 1.0,
+            lambda x, d: float((x - c) @ d + 0.5 * d @ d), Dense())
+        assert info["converged"] and info["iters"] == 1
+        np.testing.assert_array_equal(x, [0.0, 0.4])
+        # the start, 48 halvings of the first trial down to MIN_STEP, and
+        # the fallback
+        assert len(calls) == 50
+        assert info["J_history"][1] < info["J_history"][0]
 
 
 def kkt_reference(x, gh):
@@ -363,14 +418,19 @@ class TestHelpers:
         l1 = curvature_estimate(g, spec, 0.1, 1000.0)
         assert l1 > l0 > 0.0
 
-    def test_default_init_modes(self):
+    def test_cold_start_is_competitor(self):
+        # the time-constant extension of v0 is the one cold start, named
+        # "competitor"; any other name is refused
         g, spec, data = setup(nx=7, nt=11)
-        comp = default_init(spec, data, g, mode="competitor")
-        np.testing.assert_array_equal(comp.values[:, 3], data.v0)
-        rnd = default_init(spec, data, g, mode="random", seed=1)
-        assert np.all(rnd.values[:, 1:, :] * (data.v0[:, None] == 0) == 0.0)
+        comp = competitor_field(data, g, spec)
+        np.testing.assert_array_equal(
+            comp.values, np.broadcast_to(data.v0[:, None], comp.values.shape))
+        cfg = OptimizerConfig(max_iters=3)
+        cold = minimize(spec, data, g, 0.1, 10.0, cfg)
+        given = minimize(spec, data, g, 0.1, 10.0, cfg, init=comp)
+        assert cold.J_history == given.J_history
         with pytest.raises(ValueError):
-            default_init(spec, data, g, mode="bogus")
+            minimize(spec, data, g, 0.1, 10.0, cfg, init="random")
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -55,11 +55,18 @@ def test_ladders_are_captured_as_rungs():
             spec, BoundaryData.make(v0), grid, 0.1, betas, cfg)
         oracle.elliptic_beta_ladder(
             spec, BoundaryData.make(v0, "dirichlet_only"), grid, betas, cfg)
+        # the equivalence solve starts cold from the init name "competitor"
+        oracle.check_elliptic_equivalence(
+            spec, BoundaryData.make(v0, "dirichlet_only"), grid, 0.1, 100.0,
+            cfg)
     kinds = [r.kind for r in tracer.rungs]
     assert kinds == ["penalty", "penalty", "refine",
-                     "elliptic", "elliptic", "elliptic"]
-    assert [r.beta for r in tracer.rungs] == [10.0, 100.0, 0.0] * 2
-    assert np.all(np.isnan([r.eps for r in tracer.rungs[3:]]))
+                     "elliptic", "elliptic", "elliptic",
+                     "equivalence", "elliptic"]
+    assert [r.beta for r in tracer.rungs] == [10.0, 100.0, 0.0] * 2 + [
+        100.0, 100.0]
+    assert np.all(np.isnan([r.eps for r in tracer.rungs[3:6]]))
+    assert tracer.rungs[6].eps == 0.1 and tracer.rungs[6].init == "cold"
 
 
 def test_functional_calls_are_traced():
