@@ -549,6 +549,11 @@ def cmd_report(args) -> int:
         print("no report tables found; expected any of: "
               + ", ".join(expected), file=sys.stderr)
         return 2
+    summary = adir / "summary.json"
+    cauchy_tol = None
+    if summary.exists():
+        cauchy_tol = json.loads(summary.read_text()).get(
+            "cauchy", {}).get("cauchy_tol")
     for fname in expected:
         fpath = adir / fname
         print(f"== {fname} ==")
@@ -560,6 +565,9 @@ def cmd_report(args) -> int:
         widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
         for r in rows:
             print("  " + "  ".join(v.rjust(w) for v, w in zip(r, widths)))
+        if fname == "cauchy.csv" and cauchy_tol is not None:
+            # reported beside the distances; no verdict reads it
+            print(f"  cauchy_tol = {_fmt(cauchy_tol)}")
     if missing:
         print(f"absent tables: {', '.join(missing)}")
     return 0

@@ -185,26 +185,37 @@ class SpaceTimeGrid:
             self._pinned[key] = mask
         return self._pinned[key]
 
-    def free_modes(self, data: BoundaryData) -> tuple:
-        """(V, lam) with S_f V_f = M_f V_f diag(lam) and V_f^T M_f V_f = I,
-        for S = G^T W G of the ``dirichlet_operator`` and M the spatial
-        weights, restricted to the spatial nodes ``data`` leaves free.  V
-        is V_f padded with zero rows at pinned nodes, shape
-        (n_space, n_free).  Dense ``eigh`` of M_f^-1/2 S_f M_f^-1/2,
-        cached per pinning of the lateral trace."""
+    def free_modes(self, data: BoundaryData,
+                   spatial: np.ndarray | None = None) -> list:
+        """One (V, lam) per species, with S_f V_f = M_f V_f diag(lam) and
+        V_f^T M_f V_f = I, for S = G^T W G of the ``dirichlet_operator``
+        and M the spatial weights, restricted to that species' spatial
+        set f.  V is V_f padded with zero rows outside f, shape
+        (n_space, |f|).  Dense ``eigh`` of M_f^-1/2 S_f M_f^-1/2.
+
+        ``spatial`` is a (k, *space) boolean mask, one set per species.
+        By default every species gets the spatial nodes ``data`` leaves
+        free, and the one (V, lam) they share is cached per pinning of
+        the lateral trace; given sets are not cached.
+        """
+        if spatial is not None:
+            return [self._spatial_modes(f.ravel()) for f in spatial]
         key = data.pins_dirichlet
         if key not in self._modes:
-            S = self.dirichlet_stiffness.toarray()
-            free = ~self.boundary_mask.ravel() if key else \
-                np.ones(len(S), dtype=bool)
-            S = S[np.ix_(free, free)]
-            h = 1.0 / np.sqrt(self.space_weights.ravel()[free])
-            lam, U = np.linalg.eigh(h[:, None] * S * h)
-            V = np.zeros((len(free), len(lam)))
-            V[free] = h[:, None] * U
-            # S_f is semidefinite: a rounded eigenvalue below 0 means 0
-            self._modes[key] = (V, np.maximum(lam, 0.0))
-        return self._modes[key]
+            self._modes[key] = self._spatial_modes(
+                ~self.boundary_mask.ravel() if key
+                else np.ones(self.boundary_mask.size, dtype=bool))
+        return [self._modes[key]] * len(data.v0)
+
+    def _spatial_modes(self, free: np.ndarray) -> tuple:
+        """(V, lam) of ``free_modes`` for one raveled spatial set."""
+        S = self.dirichlet_stiffness.toarray()[np.ix_(free, free)]
+        h = 1.0 / np.sqrt(self.space_weights.ravel()[free])
+        lam, U = np.linalg.eigh(h[:, None] * S * h)
+        V = np.zeros((len(free), len(lam)))
+        V[free] = h[:, None] * U
+        # S_f is semidefinite: a rounded eigenvalue below 0 means 0
+        return V, np.maximum(lam, 0.0)
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """G u on the trailing axes: (*lead, *space) -> (*lead, n_edges)."""
@@ -259,11 +270,16 @@ def build_grid(dim, nx, Lx, nt, T_r, ny=None, Ly=None,
 
 
 class FreeBlockInverse:
-    """Exact inverse of P = Q + 2 sigma diag(node mass) on the free nodes,
-    for Q the ``quadratic_operator(eps)`` and sigma >= 0.
+    """Exact inverse of P = Q + 2 sigma diag(node mass) on a free set that
+    is a tensor product for each species, for Q the
+    ``quadratic_operator(eps)`` and sigma >= 0.
 
-    Every pinning mode leaves a tensor product of nodes free, (t >= 1 or
-    all t) x (interior or all spatial nodes), so on it
+    Species i moves the nodes (t >= t0) x f_i, t0 = 1 when ``data`` pins
+    the initial slice and 0 otherwise, and f_i its row of ``spatial``
+    (a (k, *space) boolean mask).  By default f_i is the spatial set
+    ``data`` leaves free (interior or all nodes), shared by all species:
+    the free set of a penalty rung.  A refine whose frozen partition does
+    not move in time passes its support's free part.  On such a set
 
         P = 2 [K_f (x) M_f + C_f (x) (eps S_f + sigma M_f)].
 
@@ -271,14 +287,33 @@ class FreeBlockInverse:
     in time per mode, 2 [K_f + (eps lam_m + sigma) C_f]: the fast
     diagonalization method (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
     They are factored once, as one block tridiagonal system in mode-major
-    order (LAPACK ``dpttrf``; each is symmetric positive definite).
+    order (LAPACK ``dpttrf``; each is symmetric positive definite), the
+    modes separated by zero off-diagonals.  Modes shared by all species
+    are factored once and solved with one right-hand side per species.
+    Per-species modes are padded to one count and stacked, species after
+    species, into one system with one right-hand side.
     """
 
     def __init__(self, grid: SpaceTimeGrid, data: BoundaryData, eps: float,
-                 sigma: float):
+                 sigma: float, spatial: np.ndarray | None = None):
         self.grid, self.eps, self.sigma = grid, eps, sigma
-        self.V, lam = grid.free_modes(data)
+        modes = grid.free_modes(data, spatial)
         self.t0 = t0 = int(data.pins_initial)
+        if spatial is None:
+            V, lam = modes[0]
+            self._columns = len(modes)
+        else:
+            # each species' modes, padded to the most any species has with
+            # zero columns, whose time blocks (lam = 1) stay definite
+            n = max(len(m[1]) for m in modes)
+            V = np.zeros((len(modes), len(modes[0][0]), n))
+            lam = np.ones((len(modes), n))
+            for i, (V_i, lam_i) in enumerate(modes):
+                V[i, :, :len(lam_i)] = V_i
+                lam[i, :len(lam_i)] = lam_i
+            lam = lam.ravel()
+            self._columns = 1
+        self._Vt = np.swapaxes(V, -1, -2)
         # K_t restricted to t >= t0
         k_diag, k_off = grid.time_stiffness
         diag = 2.0 * (k_diag[t0:] + (eps * lam[:, None] + sigma)
@@ -288,31 +323,32 @@ class FreeBlockInverse:
         self._d, self._e, info = dpttrf(diag.ravel(), off.ravel()[:-1])
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrf failed with info {info}")
-        # modal coefficients, mode-major: (k, n_modes, nt - t0); read as a
-        # Fortran array it is the right-hand side with k columns
-        self._b = np.empty((len(data.v0),) + diag.shape)
+        # modal coefficients, mode-major: (k, modes, nt - t0); read as a
+        # Fortran array it is the right-hand side with ``_columns`` columns
+        self._b = np.empty((len(modes), V.shape[-1], grid.nt - t0))
 
     def solve(self, r: np.ndarray, out: np.ndarray | None = None):
-        """P^-1 r on the free nodes and 0 at pinned ones, for r of shape
-        (k, nt, *space), k that of the boundary data; ``out``, when given,
-        must be C-contiguous."""
+        """P^-1 r on the free set and 0 elsewhere (at pinned nodes and
+        outside each species' spatial set), for r of shape (k, nt, *space),
+        k that of the boundary data; ``out``, when given, must be
+        C-contiguous."""
         k, nt, t0 = len(r), self.grid.nt, self.t0
-        V = self.V
+        Vt = self._Vt
         if out is None:
             out = np.empty(r.shape)
         R = np.reshape(r, (k, nt, -1))[:, t0:]
-        B = np.matmul(V.T, R.transpose(0, 2, 1), out=self._b)
-        X, _ = dpttrs(self._d, self._e, B.reshape(k, -1).T,
+        B = np.matmul(Vt, R.transpose(0, 2, 1), out=self._b)
+        X, _ = dpttrs(self._d, self._e, B.reshape(self._columns, -1).T,
                       overwrite_b=True)
         X = X.T.reshape(B.shape).transpose(0, 2, 1)
         O = out.reshape(k, nt, -1)
-        np.matmul(X, V.T, out=O[:, t0:])
+        np.matmul(X, Vt, out=O[:, t0:])
         O[:, :t0] = 0.0
         return out
 
     def quadratic(self, d: np.ndarray) -> float:
-        """d . P d for a field d of shape (k, nt, *space) that is 0 at
-        every pinned node."""
+        """d . P d for a field d of shape (k, nt, *space) that is 0 off
+        the free set."""
         Q = self.grid.quadratic_operator(self.eps)
         dd = d.reshape(len(d), -1)
         q = sum(float(np.dot(di, Q @ di)) for di in dd)

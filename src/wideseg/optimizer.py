@@ -10,17 +10,22 @@ Algorithms 13, 1996).  Two metrics are in use, each with natural step 1:
   It turns the gradient into an O(1) residual density across the
   exponentially weighted mesh; without it, late-time nodes see gradients
   around e^{-T_r} times smaller than early ones and a scalar step cannot
-  serve both.  Refines on a prescribed support and the stationary oracle
-  use it.
-- On a penalty rung (no support), the exact inverse of
-  Q + 2 sigma diag(mass) on the free nodes, ``grid.FreeBlockInverse``:
-  Q the functional's kinetic and Dirichlet form, 2 sigma the median
-  penalty curvature of the rung's start (``penalty_shift``).  The free
-  set is a tensor product, so Q is a Kronecker sum there and the fast
-  diagonalization method inverts it exactly.  At the rungs' minimizers
-  fewer than 0.1% of the free entries sit on a bound, so a direction that
-  knows the curvature pays: on the 1-D desk ladder the penalty rungs take
-  8-91 iterations against 209-403 in the mass metric.
+  serve both.  The stationary oracle and refines on a partition that
+  moves in time use it.
+- On a rung whose free set is a tensor product, (t >= t0) x a spatial
+  set for each species, the exact inverse of Q + 2 sigma diag(mass) on
+  it, ``grid.FreeBlockInverse``: Q the functional's kinetic and Dirichlet
+  form, 2 sigma the median penalty curvature of the rung's start
+  (``penalty_shift``).  Q is a Kronecker sum there, and the fast
+  diagonalization method inverts it exactly.  Every penalty rung (no
+  support) qualifies, and so does a refine whose frozen partition is the
+  same at every time slice.  At the penalty rungs' minimizers fewer than
+  0.1% of the free entries sit on a bound, so a direction that knows the
+  curvature pays: on the 1-D desk ladder they take 8-91 iterations
+  against 209-403 in the mass metric.  A refine (beta 0, zero reactions)
+  minimizes that quadratic form itself, and Q's off-diagonals are <= 0,
+  so its first step lands on the minimizer inside the box: 1 iteration
+  against 188-231 on s1.
 
 Convergence is always measured on g / mass, after removing components
 blocked by active box constraints, so ``grad_tol`` means the same in
@@ -125,7 +130,9 @@ def _mass_dot(mass: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 
 class InverseMass:
     """The metric P = L diag(mass) of ``projected_bb``: step 1 along
-    P^-1 g is step 1/L along g / mass.
+    P^-1 g is step 1/L along g / mass.  ``projected_bb``'s default, so
+    the metric of the stationary oracle and of a refine whose support
+    moves in time (``minimize``).
 
     ``inv_mass`` is 1 / mass, and 0 where the mass is, so P^-1 g is 0 at
     zero-mass entries.  It is the loop's own array, shared, not copied.
@@ -152,7 +159,8 @@ class InverseMass:
 #: fraction of the objective.  On the 1-D (nx=63, nt=201, eps down to 0.05,
 #: at most 1200 iterations per rung) and 2-D (15 x 15, nt=101) desk
 #: ladders, under the ABBmin trial steps (along P^-1 g on the penalty
-#: rungs, g / mass on the refines), that difference is off the
+#: rungs, g / mass on the refines, as measured before a refine on a
+#: partition fixed in time took P^-1 g too), that difference is off the
 #: cancellation-free change by at most 4.5e-16 |J| on the trials that
 #: consult ``change_fn``, and by at most 8.6e-16 |J| on any trial that
 #: changes J by less than 1e-6 |J|, so this leaves a margin of 12x-22x; a
@@ -343,15 +351,18 @@ def curvature_bound(grid: SpaceTimeGrid, spec: SystemSpec, eps: float,
 
 
 def penalty_shift(x0: np.ndarray, spec: SystemSpec, eps: float,
-                  beta: float, pinned: np.ndarray) -> float:
-    """sigma of a penalty rung's preconditioner Q + 2 sigma diag(mass): the
-    shift 2 sigma is the median, over the free entries of the start
-    ``x0``, of the penalty Hessian diagonal per unit mass,
-    2 beta eps (A x0^2)_i.  On the 1-D desk ladder rung (0.2, 1e4) takes
-    88 iterations with it and 241 without."""
+                  beta: float, held: np.ndarray) -> float:
+    """sigma of a rung's preconditioner Q + 2 sigma diag(mass): the shift
+    2 sigma is the median, over the entries of the start ``x0`` that
+    ``held`` leaves free, of the penalty Hessian diagonal per unit mass,
+    2 beta eps (A x0^2)_i; 0 at beta 0.  ``held`` masks the entries that
+    do not move, shape (nt, *space) (the pins, shared by all species) or
+    (k, nt, *space).  On the 1-D desk ladder rung (0.2, 1e4) takes 88
+    iterations with it and 241 without."""
     if beta == 0.0:
         return 0.0
-    h = np.tensordot(spec.A, x0 * x0, axes=1)[:, ~pinned]
+    h = np.tensordot(spec.A, x0 * x0, axes=1)
+    h = h[~np.broadcast_to(held, h.shape)]
     return float(beta * eps * np.median(h, overwrite_input=True))
 
 
@@ -366,9 +377,19 @@ def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
 
     With ``support`` (a (k, nt, *space) boolean mask), nodes outside the
     mask are held at zero: this minimizes over fields with a prescribed
-    segregated partition, preconditioned by the mass.  Without it the free
-    nodes form a tensor product, and the descent is preconditioned by the
-    exact inverse of Q + 2 sigma mass there, sigma from ``penalty_shift``.
+    segregated partition.  The metric of the descent follows the free
+    set, the nodes that are neither pinned nor outside the support:
+
+    - no support: the free set is a tensor product, and the metric is
+      the exact inverse of Q + 2 sigma mass there
+      (``grid.FreeBlockInverse``), sigma from ``penalty_shift``;
+    - a support whose free part is the same spatial set at every time
+      slice t >= t0 (the first slice that is not pinned): the free set is
+      again a product for each species, and the metric is the same exact
+      inverse on it, sigma from ``penalty_shift`` over those entries.  At
+      beta 0 with zero reactions, the penalty-free refine, the objective
+      is that quadratic form, so the first step lands on the minimizer;
+    - any other support: ``InverseMass``.
     """
     cfg = config or OptimizerConfig()
     if isinstance(init, str):
@@ -393,10 +414,16 @@ def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
         return grad_J(StateField(x, grid, spec), eps, beta, data)
 
     L = curvature_estimate(grid, spec, eps, beta)
+    free = mass > 0.0
+    spatial = None if support is None else free[:, int(data.pins_initial)]
+    # the unpinned time slices times one spatial set per species (a
+    # penalty rung's free set always is); an empty set has nothing to factor
+    product = spatial is None or (free.any() and np.array_equal(
+        free, spatial[:, None] & ~grid.pinned(data)))
     precond = None
-    if support is None:
-        sigma = penalty_shift(x0, spec, eps, beta, grid.pinned(data))
-        precond = gridmod.FreeBlockInverse(grid, data, eps, sigma)
+    if product:
+        sigma = penalty_shift(x0, spec, eps, beta, ~free)
+        precond = gridmod.FreeBlockInverse(grid, data, eps, sigma, spatial)
     x, info = projected_bb(x0, value_fn, grad_fn, mass, cfg, L, change_fn,
                            precond)
     out_field = StateField(x, grid, spec)

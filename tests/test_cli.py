@@ -132,7 +132,9 @@ class TestExitCodes:
     def test_unconverged_refine_is_1_with_stage(self, tmp_path, monkeypatch,
                                                 capsys):
         # starve only the penalty-free refine (the minimization with a
-        # support mask); every penalty rung still converges
+        # support mask); every penalty rung still converges.  No pass is
+        # allowed: on s1's partition, fixed in time, the refine's first
+        # pass lands on the minimizer
         from wideseg import continuation
         from wideseg.optimizer import OptimizerConfig
 
@@ -140,7 +142,7 @@ class TestExitCodes:
 
         def starved_refine(*args, support=None, **kwargs):
             if support is not None:
-                args = args[:5] + (OptimizerConfig(max_iters=1),) + args[6:]
+                args = args[:5] + (OptimizerConfig(max_iters=0),) + args[6:]
             return real(*args, support=support, **kwargs)
 
         monkeypatch.setattr(continuation, "minimize", starved_refine)
@@ -222,6 +224,15 @@ class TestPipeline:
         assert main(["report", "--artifacts", str(out)]) == 0
         txt = capsys.readouterr().out
         assert "level_table.csv" in txt
+
+    def test_report_prints_cauchy_tol_under_cauchy_table(self, run_dir,
+                                                         capsys):
+        # the value from summary.json, right after the cauchy.csv rows
+        _, out = run_dir
+        assert main(["report", "--artifacts", str(out)]) == 0
+        txt = capsys.readouterr().out
+        cauchy = txt.split("== cauchy.csv ==\n")[1].split("== ")[0]
+        assert cauchy.splitlines()[-1] == "  cauchy_tol = 0.001"
 
 
 def test_2d_run_writes_field_csv(tmp_path):

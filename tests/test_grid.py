@@ -211,14 +211,20 @@ class TestFreeBlockInverse:
     }
 
     @staticmethod
-    def reference(g, data, eps, sigma, r):
+    def reference(g, data, eps, sigma, r, spatial=None):
+        """spsolve of P restricted to each species' free nodes: the
+        unpinned nodes, within its row of ``spatial`` when given."""
         P = (g.quadratic_operator(eps)
              + 2.0 * sigma * sp.diags_array(g.node_weights.ravel())).tocsr()
-        free = free_mask(g, data).ravel()
-        P_f = P[free][:, free].tocsc()
         out = np.zeros(r.shape)
-        for ri, oi in zip(r, out):
-            oi.reshape(-1)[free] = spsolve(P_f, ri.reshape(-1)[free])
+        for i, (ri, oi) in enumerate(zip(r, out)):
+            free = free_mask(g, data)
+            if spatial is not None:
+                free &= spatial[i]
+            free = free.ravel()
+            if free.any():
+                oi.reshape(-1)[free] = spsolve(P[free][:, free].tocsc(),
+                                               ri.reshape(-1)[free])
         return out
 
     @pytest.mark.parametrize("sigma", [0.0, 2.5])
@@ -233,6 +239,28 @@ class TestFreeBlockInverse:
         assert got.shape == r.shape and got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert np.all(got[:, g.pinned(data)] == 0.0)
+
+    @pytest.mark.parametrize("mode", BC_MODES)
+    @pytest.mark.parametrize("name", ["1d", "2d"])
+    def test_inverts_per_species_sets(self, name, mode):
+        # a refine's frozen partition that does not move in time: one
+        # spatial set per species (a random one, its complement and an
+        # empty one) within the spatial nodes the mode leaves free
+        g = self.SOLVE_GRIDS[name]
+        data = BoundaryData.make(np.zeros((3,) + g.space_shape), mode)
+        rng = np.random.default_rng(6)
+        spatial = np.zeros((3,) + g.space_shape, dtype=bool)
+        spatial[0] = rng.uniform(size=g.space_shape) < 0.5
+        spatial[1] = ~spatial[0]
+        spatial &= free_mask(g, data)[-1]
+        r = rng.normal(size=(3, g.nt) + g.space_shape)
+        got = FreeBlockInverse(g, data, 0.1, 2.5, spatial).solve(r)
+        want = self.reference(g, data, 0.1, 2.5, r, spatial)
+        assert got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        # exactly 0 at the pins and outside each species' set
+        held = g.pinned(data) | ~spatial[:, None]
+        assert np.all(got[held] == 0.0)
 
     @pytest.mark.parametrize("name", ["1d", "2d"])
     def test_out_buffer_and_quadratic(self, name):

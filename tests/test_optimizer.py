@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from scipy.sparse.linalg import spsolve
+
 from wideseg.functional import (
     competitor_field, eval_J_change, eval_J_value, grad_J,
 )
@@ -38,6 +40,12 @@ class TestMinimize:
         res = minimize(spec, data, g, 0.1, 10.0)
         assert res.converged
         assert res.trace.J == 0.0
+        assert np.all(res.field.values == 0.0)
+        # the refine of that ladder: an empty support, nothing to move
+        empty = np.zeros(res.field.values.shape, dtype=bool)
+        res = minimize(spec, data, g, 0.1, 0.0, init=res.field,
+                       support=empty)
+        assert res.converged and res.iters == 0
         assert np.all(res.field.values == 0.0)
 
     def test_single_ramp_value(self):
@@ -219,51 +227,88 @@ def kkt_of(res, g, spec, data, eps, beta):
     return kkt_reference(res.field.values, gh)
 
 
+def inverse_mass_path(g, spec, data, eps, beta, support=None):
+    """``projected_bb`` called directly in its default metric, the inverse
+    mass, from the competitor start with nodes outside ``support`` at 0."""
+    mass = node_mass(g, spec)
+    mass[:, g.pinned(data)] = 0.0
+    x0 = competitor_field(data, g, spec).values
+    if support is not None:
+        mass[~support] = 0.0
+        x0[~support] = 0.0
+    field = lambda x: StateField(x, g, spec)
+    return projected_bb(
+        x0, lambda x: eval_J_value(field(x), eps, beta),
+        lambda x: grad_J(field(x), eps, beta, data), mass,
+        OptimizerConfig(), curvature_estimate(g, spec, eps, beta),
+        lambda x, d: eval_J_change(field(x), d, eps, beta),
+    )
+
+
+def split_support(g, edges):
+    """Species 0 on the spatial nodes left of ``edges[j]`` at time slice
+    j, species 1 from node 8 on at every slice."""
+    support = np.zeros((2, g.nt) + g.space_shape, dtype=bool)
+    for j, edge in enumerate(edges):
+        support[0, j, :edge] = True
+    support[1, :, 8:] = True
+    return support
+
+
 class TestPreconditioned:
-    """A rung without a support descends in the metric of the exact
-    inverse of Q + 2 sigma mass; with a support it keeps the mass."""
+    """A rung whose free set is a tensor product, (t >= t0) x a spatial
+    set per species, descends in the metric of the exact inverse of
+    Q + 2 sigma mass on it; any other support keeps the inverse mass."""
 
     @pytest.mark.parametrize("beta", [10.0, 1000.0])
     def test_same_minimizer_as_inverse_mass_path(self, beta):
-        # a support that covers every node is the inverse-mass path
         g, spec, data = setup()
         res = minimize(spec, data, g, 0.1, beta)
-        full = np.ones((2, g.nt) + g.space_shape, dtype=bool)
-        ref = minimize(spec, data, g, 0.1, beta, support=full)
-        assert res.converged and ref.converged
-        assert res.trace.J == pytest.approx(ref.trace.J, rel=1e-10)
+        _, ref = inverse_mass_path(g, spec, data, 0.1, beta)
+        assert res.converged and ref["converged"]
+        assert res.trace.J == pytest.approx(ref["J"], rel=1e-10)
         assert kkt_of(res, g, spec, data, 0.1, beta) <= 1e-5
         h = np.asarray(res.J_history)
         assert np.all(np.diff(h) <= ROUNDOFF_RTOL * abs(h[0]))
         if beta == 10.0:
             # 9 against 82 iterations: a bypassed preconditioner fails this
-            assert res.iters <= ref.iters / 5
+            assert res.iters <= ref["iters"] / 5
 
     def test_support_keeps_inverse_mass_iterates(self):
-        # the loop in its default metric, called directly, gives the
-        # refine's iterates bit for bit
+        # species 0's support grows by a node halfway in time, so the free
+        # set is no product: the loop in its default metric, called
+        # directly, gives the refine's iterates bit for bit
         g, spec, data = setup()
         eps, beta = 0.1, 0.0
-        support = np.zeros((2, g.nt) + g.space_shape, dtype=bool)
-        support[0, :, :9] = True
-        support[1, :, 8:] = True
+        support = split_support(g, [9] * (g.nt // 2) + [10] * (g.nt // 2 + 1))
         res = minimize(spec, data, g, eps, beta, support=support)
-
-        mass = node_mass(g, spec)
-        mass[:, g.pinned(data)] = 0.0
-        mass[~support] = 0.0
-        x0 = competitor_field(data, g, spec).values
-        x0[~support] = 0.0
-        field = lambda x: StateField(x, g, spec)
-        x, info = projected_bb(
-            x0, lambda x: eval_J_value(field(x), eps, beta),
-            lambda x: grad_J(field(x), eps, beta, data), mass,
-            OptimizerConfig(), curvature_estimate(g, spec, eps, beta),
-            lambda x, d: eval_J_change(field(x), d, eps, beta),
-        )
+        x, info = inverse_mass_path(g, spec, data, eps, beta, support)
         assert res.converged and res.iters > 20
         np.testing.assert_array_equal(res.field.values, x)
         assert res.J_history == info["J_history"]
+
+    def test_product_support_refine_is_the_direct_solve(self):
+        # beta 0, zero reactions and the same spatial support at every
+        # time slice: J is 1/2 sum_i u_i.Q u_i, the metric inverts Q on
+        # the free set, and the first step lands on Q_ff u_f = -Q_fp u_p
+        g, spec, data = setup()
+        eps = 0.1
+        support = split_support(g, [9] * g.nt)
+        res = minimize(spec, data, g, eps, 0.0, support=support)
+        assert res.converged and res.iters <= 2
+        assert np.all(res.field.values[~support] == 0.0)
+
+        Q = g.quadratic_operator(eps).tocsr()
+        x0 = competitor_field(data, g, spec).values
+        x0[~support] = 0.0
+        for i in range(2):
+            free = (support[i] & ~g.pinned(data)).ravel()
+            u = x0[i].ravel()
+            want = spsolve(Q[free][:, free].tocsc(),
+                           -(Q[free][:, ~free] @ u[~free]))
+            got = res.field.values[i].ravel()
+            assert np.max(np.abs(got[free] - want)) <= 1e-10
+            np.testing.assert_array_equal(got[~free], u[~free])
 
     def test_shift_is_median_penalty_curvature(self):
         # 2 sigma is the median over free entries of 2 beta eps (A x0^2)
