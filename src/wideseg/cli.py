@@ -33,6 +33,11 @@ from .model import (
 from .optimizer import OptimizerConfig, minimize
 
 
+#: the uniformity windows are sampled at original times up to this multiple
+#: of eps, so the rescaled horizon T_r must reach it
+WINDOW_HORIZON = 8.0
+
+
 class ConfigError(Exception):
     """Configuration failure addressed to a specific field."""
 
@@ -226,6 +231,9 @@ def _json_ready(obj):
 
 def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
     """Full ladder pipeline plus diagnostics.  Returns (exit_code, summary)."""
+    if rc.grid_kwargs["T_r"] < WINDOW_HORIZON:
+        raise ConfigError("grid.T_r", "the uniformity windows need T_r >= "
+                          f"{WINDOW_HORIZON:g}")
     if rc.run_elliptic:
         # the equivalence check solves at the second eps and beta
         for key in ("epsilons", "betas"):
@@ -284,7 +292,7 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
                 float(np.max(np.abs(res.trace.E))),
                 float(dt * res.trace.I.sum()),
             ])
-            taus_w = np.linspace(0.0, 8.0 * eps, 161)
+            taus_w = np.linspace(0.0, WINDOW_HORIZON * eps, 161)
             vo = to_original_time(res.field, eps, taus_w)
             rep = diag.check_uniform_windows(
                 vo, taus_w, grid, spec, beta, diag.default_windows(eps)
@@ -413,7 +421,7 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
 
     if rc.run_elliptic:
         log(f"[{rc.name}] elliptic equivalence and ladder")
-        data_g = _dirichlet_only(data)
+        data_g = BoundaryData.make(data.v0, "dirichlet_only")
         eq = oracle_mod.check_elliptic_equivalence(
             spec, data_g, grid, rc.ladder.epsilons[1], rc.ladder.betas[1],
             rc.optimizer,
@@ -448,11 +456,6 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
         return 1, summary
     log(f"[{rc.name}] all checks passed")
     return 0, summary
-
-
-def _dirichlet_only(data: BoundaryData) -> BoundaryData:
-    """v0 with only its Dirichlet trace pinned, for the stationary checks."""
-    return BoundaryData.make(np.array(data.v0), "dirichlet_only")
 
 
 def _elliptic_ladder(rc: RunConfig, grid: SpaceTimeGrid,
@@ -517,7 +520,8 @@ def cmd_elliptic(args) -> int:
     grid, data = make_inputs(rc)
     out = Path(rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    lad = _elliptic_ladder(rc, grid, _dirichlet_only(data), out)
+    lad = _elliptic_ladder(rc, grid,
+                           BoundaryData.make(data.v0, "dirichlet_only"), out)
     print(f"overlap decay ratio = {lad['decay_ratio']:.17g}")
     return 0 if lad["all_converged"] else 1
 

@@ -94,12 +94,11 @@ def run_beta_ladder(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
                     eps: float, betas, config: OptimizerConfig | None = None,
                     init: StateField | None = None) -> BetaLadderResult:
     """Ascend the penalty ladder at fixed eps, warm-starting each rung."""
-    cfg = config or OptimizerConfig()
     if init is None:
         init = competitor_field(data, grid, spec)
 
     def solve(beta, values, support):
-        res = minimize(spec, data, grid, eps, beta, cfg,
+        res = minimize(spec, data, grid, eps, beta, config,
                        init=StateField(values, grid, spec), support=support)
         return res, res.field.values
 
@@ -138,8 +137,7 @@ def original_time_l2(a: np.ndarray, b: np.ndarray, taus: np.ndarray,
                      grid: SpaceTimeGrid) -> float:
     """Unweighted L2 distance over Omega x (taus[0], taus[-1])."""
     d2 = np.sum((a - b) ** 2, axis=0)     # (n_tau, *space)
-    sw = grid.space_weights
-    per_tau = np.tensordot(d2, sw, axes=sw.ndim)
+    per_tau = grid.integrate(d2)
     return float(np.sqrt(np.trapezoid(per_tau, taus)))
 
 
@@ -157,7 +155,6 @@ def run_eps_ladder(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
                    config: OptimizerConfig | None = None) -> DoubleLimitResult:
     """Descend the regularization ladder, each rung running a full penalty
     ladder warm-started from the previous segregated limit."""
-    cfg = config or OptimizerConfig()
     out = DoubleLimitResult()
     eps_list = list(ladder.epsilons)
     # common original-time comparison window, covered by every rung
@@ -169,7 +166,8 @@ def run_eps_ladder(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
     prev_orig = None
     prev_eps = None
     for eps in eps_list:
-        bl = run_beta_ladder(spec, data, grid, eps, ladder.betas, cfg, init=warm)
+        bl = run_beta_ladder(spec, data, grid, eps, ladder.betas, config,
+                             init=warm)
         out.beta_results[eps] = bl
         out.all_converged &= bl.all_converged
         # the grid is eps-independent in the rescaled clock, so the

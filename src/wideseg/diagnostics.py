@@ -39,8 +39,7 @@ def overlap(field: StateField) -> tuple[float, float]:
     """Weighted space-time integral and nodal sup of <v^2, A v^2>."""
     g = field.grid
     P = penalty_density(field.values, field.spec.A)   # (nt, *space)
-    sw = g.space_weights
-    per_slice = np.tensordot(P, sw, axes=sw.ndim)
+    per_slice = g.integrate(P)
     integral = float(
         np.dot(g.cell_weights, 0.5 * (per_slice[:-1] + per_slice[1:]))
     )
@@ -270,9 +269,8 @@ def check_uniform_windows(vals: np.ndarray, taus: np.ndarray,
     reported quantity is the max over windows of
     (1/T) int_{tau0}^{tau0+T} int { |grad v|^2 + beta <v^2, A v^2> }.
     """
-    sw = grid.space_weights
     D = grid.dirichlet_form(vals).sum(axis=0)
-    P = np.tensordot(penalty_density(vals, spec.A), sw, axes=sw.ndim)
+    P = grid.integrate(penalty_density(vals, spec.A))
     q = D + beta * P    # (n_tau,)
 
     worst = 0.0
@@ -286,7 +284,7 @@ def check_uniform_windows(vals: np.ndarray, taus: np.ndarray,
         worst = max(worst, float(np.trapezoid(q[sel], taus[sel]) / T))
 
     dvdt = _time_derivative(vals, taus)
-    kin_cells = np.tensordot(np.sum(dvdt * dvdt, axis=0), sw, axes=sw.ndim)
+    kin_cells = grid.integrate(np.sum(dvdt * dvdt, axis=0))
     kinetic = float(np.dot(np.diff(taus), kin_cells))
     return {
         "windowed_max": worst,

@@ -61,13 +61,12 @@ def _slice_terms(values, grid: SpaceTimeGrid, spec: SystemSpec, beta: float):
     values: (k, nt, *space).  Returns (D, F, P), each of shape (nt,).
     """
     D = grid.dirichlet_form(values).sum(axis=0)
-    sw = grid.space_weights
     if spec.reactive:
-        F = np.tensordot(spec.F_sum(values), sw, axes=sw.ndim)
+        F = grid.integrate(spec.F_sum(values))
     else:
         F = np.zeros(values.shape[1])
     if beta != 0.0:
-        P = np.tensordot(penalty_density(values, spec.A), sw, axes=sw.ndim)
+        P = grid.integrate(penalty_density(values, spec.A))
     else:
         P = np.zeros(values.shape[1])
     return D, F, P
@@ -81,8 +80,7 @@ def slice_potential(field: StateField, eps: float, beta: float) -> np.ndarray:
 
 def _kinetic_cells(field: StateField) -> np.ndarray:
     du = gridmod.discrete_time_derivative(field)
-    sw = field.grid.space_weights
-    return np.tensordot(np.sum(du * du, axis=0), sw, axes=sw.ndim)
+    return field.grid.integrate(np.sum(du * du, axis=0))
 
 
 def eval_J(field: StateField, eps: float, beta: float) -> EnergyTrace:
@@ -146,13 +144,12 @@ def slice_potential_change(u: np.ndarray, d: np.ndarray, grid: SpaceTimeGrid,
     """
     p = 2.0 * u + d
     D = grid.dirichlet_form(p, d).sum(axis=0)
-    sw = grid.space_weights
     if spec.reactive:
-        F = np.tensordot(spec.F_sum_change(u, d), sw, axes=sw.ndim)
+        F = grid.integrate(spec.F_sum_change(u, d))
     else:
         F = np.zeros(u.shape[1])
     if beta != 0.0:
-        P = np.tensordot(_penalty_change(u, d, p, spec.A), sw, axes=sw.ndim)
+        P = grid.integrate(_penalty_change(u, d, p, spec.A))
     else:
         P = np.zeros(u.shape[1])
     return D - 2.0 * F + 0.5 * beta * P

@@ -60,6 +60,8 @@ class SpaceTimeGrid:
             raise ValueError("nx and nt must both be >= 3")
         if self.T_r <= 0:
             raise ValueError("T_r must be positive")
+        if self.Lx <= 0 or (self.dim == 2 and self.Ly <= 0):
+            raise ValueError("Lx (and Ly in 2-D) must be positive")
 
         self.dx = self.Lx / (self.nx + 1)
         self.dt = self.T_r / (self.nt - 1)
@@ -112,6 +114,10 @@ class SpaceTimeGrid:
     @property
     def volume(self) -> float:
         return math.prod(self.lengths)
+
+    def integrate(self, values: np.ndarray) -> np.ndarray:
+        """Trapezoidal integral over space: (*lead, *space) -> lead."""
+        return np.tensordot(values, self.space_weights, axes=self.dim)
 
     @cached_property
     def node_weights(self) -> np.ndarray:
@@ -185,7 +191,7 @@ class SpaceTimeGrid:
             self._pinned[key] = mask
         return self._pinned[key]
 
-    def free_modes(self, data: BoundaryData,
+    def free_modes(self, k: int, lateral: bool,
                    spatial: np.ndarray | None = None) -> list:
         """One (V, lam) per species, with S_f V_f = M_f V_f diag(lam) and
         V_f^T M_f V_f = I, for S = G^T W G of the ``dirichlet_operator``
@@ -194,18 +200,17 @@ class SpaceTimeGrid:
         (n_space, |f|).  Dense ``eigh`` of M_f^-1/2 S_f M_f^-1/2.
 
         ``spatial`` is a (k, *space) boolean mask, one set per species.
-        By default every species gets the spatial nodes ``data`` leaves
-        free, and the one (V, lam) they share is cached per pinning of
-        the lateral trace; given sets are not cached.
+        By default each of the k species gets the interior when ``lateral``
+        (the lateral trace is pinned) and every node otherwise, sharing one
+        (V, lam), cached per ``lateral``; given sets are not cached.
         """
         if spatial is not None:
             return [self._spatial_modes(f.ravel()) for f in spatial]
-        key = data.pins_dirichlet
-        if key not in self._modes:
-            self._modes[key] = self._spatial_modes(
-                ~self.boundary_mask.ravel() if key
+        if lateral not in self._modes:
+            self._modes[lateral] = self._spatial_modes(
+                ~self.boundary_mask.ravel() if lateral
                 else np.ones(self.boundary_mask.size, dtype=bool))
-        return [self._modes[key]] * len(data.v0)
+        return [self._modes[lateral]] * k
 
     def _spatial_modes(self, free: np.ndarray) -> tuple:
         """(V, lam) of ``free_modes`` for one raveled spatial set."""
@@ -283,6 +288,10 @@ class FreeBlockInverse:
 
         P = 2 [K_f (x) M_f + C_f (x) (eps S_f + sigma M_f)].
 
+    ``stationary`` picks the one-slice case, which pins the lateral trace
+    whatever ``data`` pins: fields (k, *space), K = 0, C = 1, t0 = 0, the
+    interior as default set, P = 2 (eps S_f + sigma M_f), M_f the weights.
+
     In the spatial modes V of ``free_modes`` this is one tridiagonal matrix
     in time per mode, 2 [K_f + (eps lam_m + sigma) C_f]: the fast
     diagonalization method (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
@@ -295,10 +304,20 @@ class FreeBlockInverse:
     """
 
     def __init__(self, grid: SpaceTimeGrid, data: BoundaryData, eps: float,
-                 sigma: float, spatial: np.ndarray | None = None):
-        self.grid, self.eps, self.sigma = grid, eps, sigma
-        modes = grid.free_modes(data, spatial)
-        self.t0 = t0 = int(data.pins_initial)
+                 sigma: float, spatial: np.ndarray | None = None,
+                 stationary: bool = False):
+        if stationary:
+            k_diag, k_off, c, t0 = np.zeros(1), np.zeros(0), np.ones(1), 0
+            self._Q = 2.0 * eps * grid.dirichlet_stiffness
+            self._mass = grid.space_weights.ravel()
+        else:
+            (k_diag, k_off), c = grid.time_stiffness, grid.node_time_weights
+            t0 = int(data.pins_initial)
+            self._Q = grid.quadratic_operator(eps)
+            self._mass = grid.node_weights.ravel()
+        self.sigma, self.t0, self._nt = sigma, t0, len(c)
+        lateral = stationary or data.pins_dirichlet
+        modes = grid.free_modes(len(data.v0), lateral, spatial)
         if spatial is None:
             V, lam = modes[0]
             self._columns = len(modes)
@@ -315,9 +334,7 @@ class FreeBlockInverse:
             self._columns = 1
         self._Vt = np.swapaxes(V, -1, -2)
         # K_t restricted to t >= t0
-        k_diag, k_off = grid.time_stiffness
-        diag = 2.0 * (k_diag[t0:] + (eps * lam[:, None] + sigma)
-                      * grid.node_time_weights[t0:])
+        diag = 2.0 * (k_diag[t0:] + (eps * lam[:, None] + sigma) * c[t0:])
         off = np.zeros(diag.shape)
         off[:, :-1] = 2.0 * k_off[t0:]
         self._d, self._e, info = dpttrf(diag.ravel(), off.ravel()[:-1])
@@ -325,14 +342,14 @@ class FreeBlockInverse:
             raise np.linalg.LinAlgError(f"dpttrf failed with info {info}")
         # modal coefficients, mode-major: (k, modes, nt - t0); read as a
         # Fortran array it is the right-hand side with ``_columns`` columns
-        self._b = np.empty((len(modes), V.shape[-1], grid.nt - t0))
+        self._b = np.empty((len(modes), V.shape[-1], len(c) - t0))
 
     def solve(self, r: np.ndarray, out: np.ndarray | None = None):
         """P^-1 r on the free set and 0 elsewhere (at pinned nodes and
         outside each species' spatial set), for r of shape (k, nt, *space),
-        k that of the boundary data; ``out``, when given, must be
-        C-contiguous."""
-        k, nt, t0 = len(r), self.grid.nt, self.t0
+        or (k, *space) in the one-slice case, k that of the boundary data;
+        ``out``, when given, must be C-contiguous."""
+        k, nt, t0 = len(r), self._nt, self.t0
         Vt = self._Vt
         if out is None:
             out = np.empty(r.shape)
@@ -347,14 +364,12 @@ class FreeBlockInverse:
         return out
 
     def quadratic(self, d: np.ndarray) -> float:
-        """d . P d for a field d of shape (k, nt, *space) that is 0 off
-        the free set."""
-        Q = self.grid.quadratic_operator(self.eps)
+        """d . P d for a field d that is 0 off the free set."""
         dd = d.reshape(len(d), -1)
-        q = sum(float(np.dot(di, Q @ di)) for di in dd)
+        q = sum(float(np.dot(di, self._Q @ di)) for di in dd)
         if self.sigma:
             q += 2.0 * self.sigma * float(np.einsum(
-                "kn,n,kn->", dd, self.grid.node_weights.ravel(), dd))
+                "kn,n,kn->", dd, self._mass, dd))
         return q
 
 

@@ -3,29 +3,28 @@
 One loop serves every minimization.  A metric P, an object with
 ``solve(g, out)`` (P^-1 g) and ``quadratic(d)`` (d.Pd), sets the direction
 -P^-1 g and the inner product of the BB steps (Molina & Raydan, Numer.
-Algorithms 13, 1996).  Two metrics are in use, each with natural step 1:
+Algorithms 13, 1996).  One rule picks it, with natural step 1 either way:
 
-- ``InverseMass``, P = L diag(mass): the node quadrature mass (time-cell
-  weight times spatial trapezoid weight) scaled by the curvature bound L.
-  It turns the gradient into an O(1) residual density across the
-  exponentially weighted mesh; without it, late-time nodes see gradients
-  around e^{-T_r} times smaller than early ones and a scalar step cannot
-  serve both.  The stationary oracle and refines on a partition that
-  moves in time use it.
-- On a rung whose free set is a tensor product, (t >= t0) x a spatial
-  set for each species, the exact inverse of Q + 2 sigma diag(mass) on
-  it, ``grid.FreeBlockInverse``: Q the functional's kinetic and Dirichlet
-  form, 2 sigma the median penalty curvature of the rung's start
+- Wherever the free set is a tensor product, (t >= t0) x a spatial set
+  for each species, the exact inverse of Q + 2 sigma diag(mass) on it,
+  ``grid.FreeBlockInverse``: Q the functional's kinetic and Dirichlet
+  form, 2 sigma the median penalty curvature of the start
   (``penalty_shift``).  Q is a Kronecker sum there, and the fast
   diagonalization method inverts it exactly.  Every penalty rung (no
-  support) qualifies, and so does a refine whose frozen partition is the
-  same at every time slice.  At the penalty rungs' minimizers fewer than
-  0.1% of the free entries sit on a bound, so a direction that knows the
-  curvature pays: on the 1-D desk ladder they take 8-91 iterations
-  against 209-403 in the mass metric.  A refine (beta 0, zero reactions)
-  minimizes that quadratic form itself, and Q's off-diagonals are <= 0,
-  so its first step lands on the minimizer inside the box: 1 iteration
-  against 188-231 on s1.
+  support) qualifies, so does a refine whose frozen partition is the
+  same at every time slice, and so does every stationary solve of
+  ``oracle.minimize_elliptic`` (the one-slice case, K = 0).  At the
+  penalty rungs' minimizers fewer than 0.1% of the free entries sit on a
+  bound, so a direction that knows the curvature pays: on the 1-D desk
+  ladder they take 8-91 iterations against 209-403 in the mass metric,
+  and the s1 stationary solves 1-101 against 162-319.  A refine (beta 0,
+  zero reactions) minimizes that quadratic form itself, and its
+  off-diagonals are <= 0, so its first step lands on the minimizer
+  inside the box: 1 iteration against 162-231 on s1.
+- ``InverseMass``, P = L diag(mass), only where a partition moves in
+  time (and for an empty free set): the node quadrature mass scaled by
+  the curvature bound L, which turns the gradient into an O(1) residual
+  density across the exponentially weighted mesh.
 
 Convergence is always measured on g / mass, after removing components
 blocked by active box constraints, so ``grad_tol`` means the same in
@@ -131,8 +130,8 @@ def _mass_dot(mass: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 class InverseMass:
     """The metric P = L diag(mass) of ``projected_bb``: step 1 along
     P^-1 g is step 1/L along g / mass.  ``projected_bb``'s default, so
-    the metric of the stationary oracle and of a refine whose support
-    moves in time (``minimize``).
+    the metric of a refine whose support moves in time (``minimize``)
+    and of an empty free set.
 
     ``inv_mass`` is 1 / mass, and 0 where the mass is, so P^-1 g is 0 at
     zero-mass entries.  It is the loop's own array, shared, not copied.
@@ -356,8 +355,8 @@ def penalty_shift(x0: np.ndarray, spec: SystemSpec, eps: float,
     2 sigma is the median, over the entries of the start ``x0`` that
     ``held`` leaves free, of the penalty Hessian diagonal per unit mass,
     2 beta eps (A x0^2)_i; 0 at beta 0.  ``held`` masks the entries that
-    do not move, shape (nt, *space) (the pins, shared by all species) or
-    (k, nt, *space).  On the 1-D desk ladder rung (0.2, 1e4) takes 88
+    do not move, in the shape of x0 (k, ...) or of one species (the pins,
+    shared by all).  On the 1-D desk ladder rung (0.2, 1e4) takes 88
     iterations with it and 241 without."""
     if beta == 0.0:
         return 0.0

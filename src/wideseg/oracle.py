@@ -5,8 +5,8 @@ system in original time, and a projected-gradient minimizer of the
 stationary spatial energy.  Only the IMEX march is independent of the
 space-time functional: it assembles its own P1 stiffness and shares
 nothing with it beyond the mesh.  The stationary minimizer reuses the
-functional's slice terms, hence ``dirichlet_operator`` (with its factor
-1/2 in 2-D), and the ``projected_bb`` descent core.
+functional's slice terms, hence ``dirichlet_operator`` (1/2 in 2-D), and
+``projected_bb`` in the one-slice ``grid.FreeBlockInverse``.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from .continuation import original_time_l2, segregated_ladder, to_original_time
 from .functional import (
     _slice_terms, penalty_density, potential_gradient, slice_potential_change,
 )
-from .grid import SpaceTimeGrid, resample_in_time
+from .grid import FreeBlockInverse, SpaceTimeGrid, resample_in_time
 from .model import BoundaryData, SystemSpec
 from .optimizer import (
-    OptimizerConfig, curvature_bound, minimize, projected_bb,
+    OptimizerConfig, curvature_bound, minimize, penalty_shift, projected_bb,
 )
 
 #: the oracle discrepancy counts as decreasing along the eps ladder when
@@ -170,21 +170,19 @@ def minimize_elliptic(spec: SystemSpec, data: BoundaryData,
                       support: np.ndarray | None = None) -> EllipticResult:
     """Projected-gradient minimizer of the stationary spatial energy.
 
-    Boundary nodes stay pinned to the trace of v0; the initial iterate is
-    v0 itself.  Shares the descent core with the space-time minimizer.
-    With ``support`` (a (k, *space) boolean mask), nodes outside the mask
-    are held at zero.
+    Boundary nodes stay pinned to the trace of v0 whatever ``data.bc_mode``
+    says, and nodes outside ``support`` (a (k, *space) boolean mask), when
+    given, are held at zero; the initial iterate is v0 itself.  The descent
+    runs in the one-slice ``grid.FreeBlockInverse`` on the free set (sigma
+    from ``penalty_shift``), so a zero-reaction refine takes one step.
     """
     cfg = config or OptimizerConfig()
     bmask = grid.boundary_mask
-    mass = np.broadcast_to(
-        grid.space_weights, (spec.k,) + grid.space_shape
-    ).copy()
-    mass[:, bmask] = 0.0
-    w0 = np.clip(data.v0, 0.0, 1.0)
+    free = ~np.broadcast_to(bmask, data.v0.shape)
     if support is not None:
-        mass[~support] = 0.0
-        w0[~support] = 0.0
+        free &= support
+    mass = free * grid.space_weights
+    w0 = np.where(free, np.clip(data.v0, 0.0, 1.0), 0.0)
     w0[:, bmask] = data.v0[:, bmask]
 
     def value_fn(w):
@@ -200,8 +198,14 @@ def minimize_elliptic(spec: SystemSpec, data: BoundaryData,
 
     L = curvature_bound(grid, spec, 1.0, beta)
     L += 2.0 * _reaction_slope_bound(spec)
-
-    w, info = projected_bb(w0, value_fn, grad_fn, mass, cfg, L, change_fn)
+    precond = None
+    if free.any():
+        sigma = penalty_shift(w0, spec, 1.0, beta, ~free)
+        spatial = None if support is None else free
+        precond = FreeBlockInverse(grid, data, 1.0, sigma, spatial,
+                                   stationary=True)
+    w, info = projected_bb(w0, value_fn, grad_fn, mass, cfg, L, change_fn,
+                           precond)
     return EllipticResult(
         w=w, energy=info["J"], iters=info["iters"],
         converged=info["converged"], pg_norm=info["pg_norm"],
@@ -212,8 +216,7 @@ def minimize_elliptic(spec: SystemSpec, data: BoundaryData,
 def spatial_overlap(w: np.ndarray, grid: SpaceTimeGrid,
                     spec: SystemSpec) -> float:
     """int <w^2, A w^2> over the domain."""
-    sw = grid.space_weights
-    return float(np.tensordot(penalty_density(w, spec.A), sw, axes=sw.ndim))
+    return float(grid.integrate(penalty_density(w, spec.A)))
 
 
 def elliptic_beta_ladder(spec: SystemSpec, data: BoundaryData,
@@ -225,11 +228,9 @@ def elliptic_beta_ladder(spec: SystemSpec, data: BoundaryData,
     Reports the overlap per rung, its top/bottom decay ratio, and the
     hard-projected refined field.
     """
-    cfg = config or OptimizerConfig()
-
     def solve(beta, values, support):
         res = minimize_elliptic(spec, BoundaryData.make(values, data.bc_mode),
-                                grid, beta, cfg, support=support)
+                                grid, beta, config, support=support)
         return res, res.w
 
     results, refined, w_seg = segregated_ladder(solve, betas, data.v0)
@@ -254,19 +255,17 @@ def check_elliptic_equivalence(spec: SystemSpec, data: BoundaryData,
     time average and the latter."""
     if not (data.pins_dirichlet and not data.pins_initial):
         raise ValueError("elliptic equivalence needs bc_mode='dirichlet_only'")
-    cfg = config or OptimizerConfig()
-    res = minimize(spec, data, grid, eps, beta, cfg, init="competitor")
+    res = minimize(spec, data, grid, eps, beta, config, init="competitor")
     u = res.field.values
     c = grid.node_time_weights
     ubar = np.tensordot(u, c, axes=([1], [0])) / c.sum()   # (k, *space)
 
-    sw = grid.space_weights
     d2 = np.sum((u - ubar[:, None]) ** 2, axis=0)           # (nt, *space)
-    var = float(np.sqrt(np.max(np.tensordot(d2, sw, axes=sw.ndim))))
+    var = float(np.sqrt(np.max(grid.integrate(d2))))
 
-    ell = minimize_elliptic(spec, data, grid, beta, cfg)
+    ell = minimize_elliptic(spec, data, grid, beta, config)
     gap2 = np.sum((ubar - ell.w) ** 2, axis=0)
-    gap = float(np.sqrt(np.tensordot(gap2, sw, axes=sw.ndim)))
+    gap = float(np.sqrt(grid.integrate(gap2)))
     return {
         "temporal_variation": var,
         "elliptic_gap": gap,

@@ -169,6 +169,39 @@ class TestExitCodes:
         assert code == 2
         assert f"ladder.{key}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("lengths", [
+        "dim = 1\nnx = 15\nLx = 0.0\n",
+        "dim = 1\nnx = 15\nLx = -1.0\n",
+        "dim = 2\nnx = 5\nny = 5\nLx = 1.0\nLy = 0.0\n",
+    ], ids=["Lx=0", "Lx=-1", "Ly=0"])
+    def test_nonpositive_length_is_2(self, tmp_path, capsys, lengths):
+        # a zero length used to die in a division by zero, and a negative
+        # one was blamed on the boundary data
+        cfg = BASE_CFG.replace("dim = 1\nnx = 15\nLx = 1.0\n", lengths)
+        code = main(["run", "--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "config error: grid: Lx (and Ly in 2-D) must be positive" \
+            in capsys.readouterr().err
+
+    def test_short_horizon_is_2_before_any_solve(self, tmp_path, capsys,
+                                                 monkeypatch):
+        # the uniformity windows sample tau up to 8 eps, past the horizon
+        # eps T_r when T_r < 8: the run must stop before the ladder
+        from wideseg import cli
+
+        def no_ladder(*args, **kwargs):
+            pytest.fail("the ladder ran")
+
+        monkeypatch.setattr(cli, "run_eps_ladder", no_ladder)
+        cfg = BASE_CFG.replace("T_r = 20.0", "T_r = 5.0")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(out)])
+        assert code == 2
+        assert "config error: grid.T_r" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
     def test_check_and_report_missing_artifacts(self, tmp_path, capsys):
         assert main(["check", "--artifacts", str(tmp_path)]) == 2
         assert main(["report", "--artifacts", str(tmp_path)]) == 2

@@ -280,6 +280,62 @@ class TestFreeBlockInverse:
         want = sum(di @ (P @ di) for di in out.reshape(2, -1))
         assert inv.quadratic(out) == pytest.approx(want, rel=1e-12)
 
+    @staticmethod
+    def one_slice_reference(g, sigma, r, free):
+        """spsolve of 2 (S + sigma M) restricted to each species' row of
+        ``free``: the stationary energy's quadratic part plus the shift."""
+        P = 2.0 * (g.dirichlet_stiffness
+                   + sigma * sp.diags_array(g.space_weights.ravel()))
+        P = P.tocsr()
+        out = np.zeros(r.shape)
+        for ri, oi, fi in zip(r, out, free):
+            f = fi.ravel()
+            if f.any():
+                oi.reshape(-1)[f] = spsolve(P[f][:, f].tocsc(),
+                                            ri.reshape(-1)[f])
+        return out, P
+
+    def check_one_slice(self, g, inv, sigma, free, seed):
+        r = np.random.default_rng(seed).normal(size=free.shape)
+        got = inv.solve(r)
+        want, P = self.one_slice_reference(g, sigma, r, free)
+        assert got.shape == r.shape and got.flags.c_contiguous
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        # exactly 0 off each species' set, and d.Pd for such a d
+        assert np.all(got[~free] == 0.0)
+        q = sum(di @ (P @ di) for di in got.reshape(len(got), -1))
+        assert inv.quadratic(got) == pytest.approx(q, rel=1e-12)
+
+    @pytest.mark.parametrize("sigma", [0.0, 2.5])
+    @pytest.mark.parametrize("mode", BC_MODES)
+    @pytest.mark.parametrize("name", ["1d", "2d"])
+    def test_one_slice_default_set(self, name, mode, sigma):
+        # fields (k, *space), no time axis: the one-slice problem pins the
+        # lateral trace whatever the data pin, so the default set is the
+        # interior for every mode, where S alone is definite
+        g = self.SOLVE_GRIDS[name]
+        data = BoundaryData.make(np.zeros((3,) + g.space_shape), mode)
+        free = np.broadcast_to(~g.boundary_mask, (3,) + g.space_shape)
+        inv = FreeBlockInverse(g, data, 1.0, sigma, stationary=True)
+        self.check_one_slice(g, inv, sigma, free, 7)
+
+    @pytest.mark.parametrize("sigma", [0.0, 2.5])
+    @pytest.mark.parametrize("name", ["1d", "2d"])
+    def test_one_slice_per_species_sets(self, name, sigma):
+        # the stationary oracle's sets: interior nodes within a support
+        # (a random one, its complement and an empty one); the data's
+        # pinning mode plays no part once the sets are given
+        g = self.SOLVE_GRIDS[name]
+        data = BoundaryData.make(np.zeros((3,) + g.space_shape),
+                                 "initial_only")
+        rng = np.random.default_rng(8)
+        free = np.zeros((3,) + g.space_shape, dtype=bool)
+        free[0] = rng.uniform(size=g.space_shape) < 0.5
+        free[1] = ~free[0]
+        free &= ~g.boundary_mask
+        inv = FreeBlockInverse(g, data, 1.0, sigma, free, stationary=True)
+        self.check_one_slice(g, inv, sigma, free, 9)
+
 
 class TestConstraints:
     def setup_method(self):

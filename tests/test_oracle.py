@@ -173,6 +173,44 @@ class TestElliptic:
         w = rep["w_segregated"]
         assert np.max(w[0] * w[1]) == 0.0
 
+    def test_initial_only_data_keeps_the_trace(self):
+        # the stationary problem pins the lateral trace whatever bc_mode
+        # says: its metric is built on the nodes the descent really frees,
+        # so initial_only data gives the dirichlet_only minimizer
+        g, spec, data = setup(nx=31)
+        runs = [minimize_elliptic(spec, BoundaryData.make(data.v0, mode), g,
+                                  100.0)
+                for mode in ("initial_only", "dirichlet_only")]
+        bm = g.boundary_mask
+        assert runs[0].converged
+        assert np.array_equal(runs[0].w[:, bm], data.v0[:, bm])
+        assert np.array_equal(runs[0].w, runs[1].w)
+
+    def test_2d_ladder_refine_takes_one_step(self, monkeypatch):
+        # the penalty-free refine minimizes the quadratic form that the
+        # one-slice FreeBlockInverse inverts on its frozen partition
+        from wideseg import oracle
+
+        g = build_grid(2, 9, 1.0, 5, T_R, ny=7, Ly=0.8)
+        spec = SystemSpec.make(2, [[0, 1], [1, 0]])
+        data = BoundaryData.make(preset_v0("two_ramp", g.x_field(), 2),
+                                 "dirichlet_only")
+        calls = []
+        real = oracle.minimize_elliptic
+
+        def spy(*args, **kwargs):
+            calls.append((kwargs.get("support"), real(*args, **kwargs)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(oracle, "minimize_elliptic", spy)
+        rep = elliptic_beta_ladder(spec, data, g, (10.0, 100.0, 1000.0))
+        assert rep["all_converged"]
+        assert [s is None for s, _ in calls] == [True, True, True, False]
+        assert calls[-1][1].converged and calls[-1][1].iters == 1
+        w = rep["w_segregated"]
+        assert np.max(w[0] * w[1]) == 0.0
+        assert rep["decay_ratio"] < 0.5
+
     def test_2d_small_run(self):
         g = build_grid(2, 5, 1.0, 5, T_R, ny=5, Ly=1.0)
         spec = SystemSpec.make(2, [[0, 1], [1, 0]])

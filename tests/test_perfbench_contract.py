@@ -105,3 +105,30 @@ def test_oracle_march_is_traced(tmp_path):
     tau_max = 0.5 * min(rc.ladder.epsilons) * rc.grid_kwargs["T_r"]
     assert m["oracle.march_steps"] == int(np.ceil(tau_max / rc.oracle_dtau))
     assert m["cli.stage.oracle_s"] > 0
+
+
+def test_run_rung_sequence(tmp_path):
+    # worker.check compares the captured rungs of ramp1d_run, in order,
+    # with reference.json: each eps's penalty rungs and refine, then the
+    # equivalence solve and its stationary solve at betas[1], then the
+    # stationary ladder and its refine.  Dropping or moving a solve
+    # breaks that check until the reference is recorded again
+    rc = cli.RunConfig(
+        name="tiny", spec=SystemSpec.make(2, [[0, 1], [1, 0]]),
+        preset="two_ramp", bc_mode="dirichlet_and_initial",
+        grid_kwargs={"dim": 1, "nx": 7, "Lx": 1.0, "nt": 11, "T_r": 20.0},
+        ladder=LadderSpec(betas=(10.0, 100.0), epsilons=(0.2, 0.1)),
+        optimizer=OptimizerConfig(max_iters=1500), n_x_bumps=3, n_t_bumps=2,
+        run_oracle=False, run_elliptic=True,
+    )
+    tracer = spans.Tracer(full=False)
+    with spans.instrument(tracer):
+        cli.run_pipeline(rc, tmp_path, log=lambda msg: None)
+    assert [worker.rung_key(r) for r in tracer.rungs] == [
+        ["penalty", 0.2, 10.0], ["penalty", 0.2, 100.0], ["refine", 0.2, 0.0],
+        ["penalty", 0.1, 10.0], ["penalty", 0.1, 100.0], ["refine", 0.1, 0.0],
+        ["equivalence", 0.1, 100.0], ["elliptic", None, 100.0],
+        ["elliptic", None, 10.0], ["elliptic", None, 100.0],
+        ["elliptic", None, 0.0],
+    ]
+    assert all(r.result.converged for r in tracer.rungs)
