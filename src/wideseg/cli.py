@@ -165,6 +165,16 @@ def parse_config(path) -> RunConfig:
         cp, "diagnostics", n_x_bumps=int, n_t_bumps=int, scales=floats,
         c_w=float, run_oracle=_parse_bool, run_elliptic=_parse_bool,
         oracle_dtau=float)
+    positive = lambda v: v > 0
+    for key, ok, msg in (
+            ("n_x_bumps", lambda v: v >= 1, "must be at least 1"),
+            ("n_t_bumps", lambda v: v >= 1, "must be at least 1"),
+            ("scales", lambda v: v and min(v) > 0,
+             "must list at least one positive scale"),
+            ("c_w", positive, "must be positive"),
+            ("oracle_dtau", positive, "must be positive")):
+        if key in diagnostics and not ok(diagnostics[key]):
+            raise ConfigError(f"diagnostics.{key}", msg)
     rc = RunConfig(
         name=name, spec=spec, preset=preset, bc_mode=bc_mode,
         grid_kwargs=gk, ladder=ladder, optimizer=opt,
@@ -213,20 +223,6 @@ def write_field_csv(path: Path, vals: np.ndarray, taus: np.ndarray,
     rows = [[t, *node] + [flat[i, j, p] for i in range(k)]
             for j, t in enumerate(taus) for p, node in enumerate(nodes)]
     write_csv(path, header, rows)
-
-
-def _json_ready(obj):
-    if isinstance(obj, dict):
-        return {k: _json_ready(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_json_ready(v) for v in obj]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return _json_ready(obj.tolist())
-    if isinstance(obj, (bool, int, float, str)) or obj is None:
-        return obj
-    return str(obj)
 
 
 def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
@@ -471,9 +467,15 @@ def _elliptic_ladder(rc: RunConfig, grid: SpaceTimeGrid,
     return lad
 
 
+def _json_value(obj):
+    """numpy scalars and arrays as Python values, anything else as text."""
+    return obj.tolist() if isinstance(obj, (np.generic, np.ndarray)) \
+        else str(obj)
+
+
 def _write_summary(out_dir: Path, summary: dict) -> None:
     with open(out_dir / "summary.json", "w") as fh:
-        json.dump(_json_ready(summary), fh, indent=2, sort_keys=True)
+        json.dump(summary, fh, indent=2, sort_keys=True, default=_json_value)
         fh.write("\n")
 
 
@@ -503,6 +505,10 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    if args.dtau <= 0:
+        raise ConfigError("--dtau", "must be positive")
+    if args.steps < 0:
+        raise ConfigError("--steps", "must be at least 0")
     rc = _load_rc(args)
     grid, data = make_inputs(rc)
     run = oracle_mod.step_parabolic(

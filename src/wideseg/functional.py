@@ -12,7 +12,8 @@ the potential slice energy
 
 at the two bounding time nodes.  Spatial quadrature is trapezoidal at nodes
 for the pointwise terms; the gradient term is sum_e W_e (G u)_e^2 with the
-grid's ``dirichlet_operator`` (G, W), so its gradient is 2 G^T (W G u).
+grid's ``dirichlet_operator`` (G, W), so its gradient is 2 S u with S
+the grid's ``dirichlet_stiffness`` G^T W G.
 
 Summed over cells, the kinetic and Dirichlet terms are the fixed quadratic
 form sum_i 1/2 u_i^T Q u_i of the grid's ``quadratic_operator(eps)``, and
@@ -213,10 +214,9 @@ def potential_gradient(u: np.ndarray, g: SpaceTimeGrid, spec: SystemSpec,
     u has shape (k, n_slices, *space); the time axis is inert here, so the
     same routine serves space-time slices and purely spatial fields.
     """
-    _, W = g.dirichlet_operator
-    gu = g.gradient(u)
-    gu *= 2.0 * W
-    gpot = g.gradient_adjoint(gu)
+    S = g.dirichlet_stiffness
+    gpot = (u.reshape(-1, S.shape[0]) @ S).reshape(u.shape)   # S symmetric
+    gpot *= 2.0
     pot = _pointwise_gradient(u, spec, beta, g.space_weights)
     if pot is not None:
         gpot += pot

@@ -5,6 +5,9 @@ all values of the regularization parameter, and original-time content is
 recovered afterwards by resampling.  Spatial nodes include the two boundary
 columns, so Dirichlet data is imposed by pinning nodes rather than through
 ghost values; nx still counts interior nodes and dx = Lx/(nx+1).
+
+``FreeBlockInverse`` learns what moves from one boolean mask in the field's
+shape, (k, nt, *space) or (k, *space) for one slice, through ``free_rows``.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ class SpaceTimeGrid:
     tail_mass: float = field(init=False)
     tail_ok: bool = field(init=False)
     # (eps, Q) of the latest quadratic_operator call; pinned masks by mode;
-    # free spatial modes by whether the lateral trace is pinned
+    # free spatial modes by the bytes of their spatial set
     _quadratic: tuple = field(init=False, default=None, repr=False,
                               compare=False)
     _pinned: dict = field(init=False, default_factory=dict, repr=False,
@@ -191,29 +194,24 @@ class SpaceTimeGrid:
             self._pinned[key] = mask
         return self._pinned[key]
 
-    def free_modes(self, k: int, lateral: bool,
-                   spatial: np.ndarray | None = None) -> list:
-        """One (V, lam) per species, with S_f V_f = M_f V_f diag(lam) and
-        V_f^T M_f V_f = I, for S = G^T W G of the ``dirichlet_operator``
-        and M the spatial weights, restricted to that species' spatial
-        set f.  V is V_f padded with zero rows outside f, shape
+    def free_modes(self, f: np.ndarray) -> tuple:
+        """(V, lam) with S_f V_f = M_f V_f diag(lam) and V_f^T M_f V_f = I,
+        for S the ``dirichlet_stiffness`` and M the spatial weights,
+        restricted to the spatial set f (a boolean mask of the spatial
+        nodes, any shape).  V is V_f padded with zero rows outside f, shape
         (n_space, |f|).  Dense ``eigh`` of M_f^-1/2 S_f M_f^-1/2.
 
-        ``spatial`` is a (k, *space) boolean mask, one set per species.
-        By default each of the k species gets the interior when ``lateral``
-        (the lateral trace is pinned) and every node otherwise, sharing one
-        (V, lam), cached per ``lateral``; given sets are not cached.
+        Cached by the bytes of f, so ask only for sets that recur (a set
+        every species shares): a refine's partition would hold its modes.
         """
-        if spatial is not None:
-            return [self._spatial_modes(f.ravel()) for f in spatial]
-        if lateral not in self._modes:
-            self._modes[lateral] = self._spatial_modes(
-                ~self.boundary_mask.ravel() if lateral
-                else np.ones(self.boundary_mask.size, dtype=bool))
-        return [self._modes[lateral]] * k
+        f = np.ravel(f)
+        key = f.tobytes()
+        if key not in self._modes:
+            self._modes[key] = self._spatial_modes(f)
+        return self._modes[key]
 
     def _spatial_modes(self, free: np.ndarray) -> tuple:
-        """(V, lam) of ``free_modes`` for one raveled spatial set."""
+        """(V, lam) of ``free_modes`` for one raveled spatial set, uncached."""
         S = self.dirichlet_stiffness.toarray()[np.ix_(free, free)]
         h = 1.0 / np.sqrt(self.space_weights.ravel()[free])
         lam, U = np.linalg.eigh(h[:, None] * S * h)
@@ -235,16 +233,6 @@ class SpaceTimeGrid:
         ga = self.gradient(a)
         ga *= ga if b is None else self.gradient(b)
         return ga @ W
-
-    @cached_property
-    def _gradient_T(self):
-        return self.dirichlet_operator[0].T.tocsr()
-
-    def gradient_adjoint(self, flux: np.ndarray) -> np.ndarray:
-        """G^T over the last axis: (*lead, n_edges) -> (*lead, *space)."""
-        GT = self._gradient_T
-        Y = flux.reshape(-1, GT.shape[1])
-        return (GT @ Y.T).T.reshape(flux.shape[:-1] + self.space_shape)
 
     def x_field(self) -> np.ndarray:
         """x-coordinate at every spatial node, in the spatial shape."""
@@ -274,56 +262,57 @@ def build_grid(dim, nx, Lx, nt, T_r, ny=None, Ly=None,
     )
 
 
-class FreeBlockInverse:
-    """Exact inverse of P = Q + 2 sigma diag(node mass) on a free set that
-    is a tensor product for each species, for Q the
-    ``quadratic_operator(eps)`` and sigma >= 0.
+def free_rows(grid: SpaceTimeGrid, free: np.ndarray) -> tuple:
+    """(t0, F): ``free`` as (k, slices, n_space), one slice for (k, *space),
+    and t0, 1 when no species moves at the initial slice and 0 otherwise."""
+    F = free.reshape(len(free), -1, grid.space_weights.size)
+    return int(not F[:, 0].any()), F
 
-    Species i moves the nodes (t >= t0) x f_i, t0 = 1 when ``data`` pins
-    the initial slice and 0 otherwise, and f_i its row of ``spatial``
-    (a (k, *space) boolean mask).  By default f_i is the spatial set
-    ``data`` leaves free (interior or all nodes), shared by all species:
-    the free set of a penalty rung.  A refine whose frozen partition does
-    not move in time passes its support's free part.  On such a set
+
+class FreeBlockInverse:
+    """Exact inverse of P = Q + 2 sigma diag(node mass) on the nodes that
+    ``free`` marks, for Q the ``quadratic_operator(eps)`` and sigma >= 0.
+
+    ``free`` is a boolean mask in the field's shape that is a tensor
+    product for each species: species i moves (t >= t0) x f_i, t0 and the
+    spatial set f_i (its row at t0) from ``free_rows``.  On such a set
 
         P = 2 [K_f (x) M_f + C_f (x) (eps S_f + sigma M_f)].
 
-    ``stationary`` picks the one-slice case, which pins the lateral trace
-    whatever ``data`` pins: fields (k, *space), K = 0, C = 1, t0 = 0, the
-    interior as default set, P = 2 (eps S_f + sigma M_f), M_f the weights.
+    A (k, *space) mask (``free.ndim == grid.dim + 1``) is the one-slice
+    case: K = 0, C = 1, P = 2 (eps S_f + sigma M_f), M_f the weights.
 
     In the spatial modes V of ``free_modes`` this is one tridiagonal matrix
     in time per mode, 2 [K_f + (eps lam_m + sigma) C_f]: the fast
     diagonalization method (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
     They are factored once, as one block tridiagonal system in mode-major
     order (LAPACK ``dpttrf``; each is symmetric positive definite), the
-    modes separated by zero off-diagonals.  Modes shared by all species
-    are factored once and solved with one right-hand side per species.
-    Per-species modes are padded to one count and stacked, species after
-    species, into one system with one right-hand side.
+    modes separated by zero off-diagonals.  A set that every species shares
+    is factored once and solved with one right-hand side per species;
+    otherwise each species' modes are padded to one count and stacked,
+    species after species, into one system with one right-hand side.
     """
 
-    def __init__(self, grid: SpaceTimeGrid, data: BoundaryData, eps: float,
-                 sigma: float, spatial: np.ndarray | None = None,
-                 stationary: bool = False):
-        if stationary:
-            k_diag, k_off, c, t0 = np.zeros(1), np.zeros(0), np.ones(1), 0
+    def __init__(self, grid: SpaceTimeGrid, eps: float, sigma: float,
+                 free: np.ndarray):
+        if free.ndim == grid.dim + 1:
+            k_diag, k_off, c = np.zeros(1), np.zeros(0), np.ones(1)
             self._Q = 2.0 * eps * grid.dirichlet_stiffness
             self._mass = grid.space_weights.ravel()
         else:
             (k_diag, k_off), c = grid.time_stiffness, grid.node_time_weights
-            t0 = int(data.pins_initial)
             self._Q = grid.quadratic_operator(eps)
             self._mass = grid.node_weights.ravel()
+        t0, F = free_rows(grid, free)
+        rows = F[:, t0]
         self.sigma, self.t0, self._nt = sigma, t0, len(c)
-        lateral = stationary or data.pins_dirichlet
-        modes = grid.free_modes(len(data.v0), lateral, spatial)
-        if spatial is None:
-            V, lam = modes[0]
-            self._columns = len(modes)
+        if (rows == rows[0]).all():
+            V, lam = grid.free_modes(rows[0])
+            self._columns = len(rows)
         else:
             # each species' modes, padded to the most any species has with
             # zero columns, whose time blocks (lam = 1) stay definite
+            modes = [grid._spatial_modes(f) for f in rows]
             n = max(len(m[1]) for m in modes)
             V = np.zeros((len(modes), len(modes[0][0]), n))
             lam = np.ones((len(modes), n))
@@ -342,13 +331,11 @@ class FreeBlockInverse:
             raise np.linalg.LinAlgError(f"dpttrf failed with info {info}")
         # modal coefficients, mode-major: (k, modes, nt - t0); read as a
         # Fortran array it is the right-hand side with ``_columns`` columns
-        self._b = np.empty((len(modes), V.shape[-1], len(c) - t0))
+        self._b = np.empty((len(rows), V.shape[-1], len(c) - t0))
 
     def solve(self, r: np.ndarray, out: np.ndarray | None = None):
-        """P^-1 r on the free set and 0 elsewhere (at pinned nodes and
-        outside each species' spatial set), for r of shape (k, nt, *space),
-        or (k, *space) in the one-slice case, k that of the boundary data;
-        ``out``, when given, must be C-contiguous."""
+        """P^-1 r on the free set and 0 elsewhere, for r in the shape of
+        the mask; ``out``, when given, must be C-contiguous."""
         k, nt, t0 = len(r), self._nt, self.t0
         Vt = self._Vt
         if out is None:

@@ -3,9 +3,10 @@
 One loop serves every minimization.  A metric P, an object with
 ``solve(g, out)`` (P^-1 g) and ``quadratic(d)`` (d.Pd), sets the direction
 -P^-1 g and the inner product of the BB steps (Molina & Raydan, Numer.
-Algorithms 13, 1996).  One rule picks it, with natural step 1 either way:
+Algorithms 13, 1996).  One rule, ``exact_metric``, picks it from the mask
+of the nodes that move alone, with natural step 1 either way:
 
-- Wherever the free set is a tensor product, (t >= t0) x a spatial set
+- Wherever that mask is a tensor product, (t >= t0) x a spatial set
   for each species, the exact inverse of Q + 2 sigma diag(mass) on it,
   ``grid.FreeBlockInverse``: Q the functional's kinetic and Dirichlet
   form, 2 sigma the median penalty curvature of the start
@@ -365,6 +366,23 @@ def penalty_shift(x0: np.ndarray, spec: SystemSpec, eps: float,
     return float(beta * eps * np.median(h, overwrite_input=True))
 
 
+def exact_metric(grid: SpaceTimeGrid, spec: SystemSpec, eps: float,
+                 beta: float, x0: np.ndarray, free: np.ndarray):
+    """The metric of a minimization from ``x0`` that moves the nodes
+    ``free`` marks, a (k, nt, *space) or one-slice (k, *space) mask: the
+    ``grid.FreeBlockInverse``, sigma from ``penalty_shift``, when each
+    species moves one spatial set at every slice from ``grid.free_rows``'
+    t0 on (per-node counts tell, writing no field), and None, which leaves
+    ``projected_bb`` its ``InverseMass``, otherwise and for an empty set."""
+    t0, F = gridmod.free_rows(grid, free)
+    moves = F[:, t0:].sum(axis=1)
+    if not free.any() or not np.array_equal(
+            moves, (F.shape[1] - t0) * F[:, t0]):
+        return None
+    sigma = penalty_shift(x0, spec, eps, beta, ~free)
+    return gridmod.FreeBlockInverse(grid, eps, sigma, free)
+
+
 def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
              eps: float, beta: float, config: OptimizerConfig | None = None,
              init: StateField | str = "competitor",
@@ -376,19 +394,10 @@ def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
 
     With ``support`` (a (k, nt, *space) boolean mask), nodes outside the
     mask are held at zero: this minimizes over fields with a prescribed
-    segregated partition.  The metric of the descent follows the free
-    set, the nodes that are neither pinned nor outside the support:
-
-    - no support: the free set is a tensor product, and the metric is
-      the exact inverse of Q + 2 sigma mass there
-      (``grid.FreeBlockInverse``), sigma from ``penalty_shift``;
-    - a support whose free part is the same spatial set at every time
-      slice t >= t0 (the first slice that is not pinned): the free set is
-      again a product for each species, and the metric is the same exact
-      inverse on it, sigma from ``penalty_shift`` over those entries.  At
-      beta 0 with zero reactions, the penalty-free refine, the objective
-      is that quadratic form, so the first step lands on the minimizer;
-    - any other support: ``InverseMass``.
+    segregated partition.  The mask of the nodes neither pinned nor
+    outside the support picks the metric (``exact_metric``); a refine on a
+    partition fixed in time, at beta 0 with zero reactions, lands on its
+    minimizer in one step.
     """
     cfg = config or OptimizerConfig()
     if isinstance(init, str):
@@ -414,15 +423,7 @@ def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
 
     L = curvature_estimate(grid, spec, eps, beta)
     free = mass > 0.0
-    spatial = None if support is None else free[:, int(data.pins_initial)]
-    # the unpinned time slices times one spatial set per species (a
-    # penalty rung's free set always is); an empty set has nothing to factor
-    product = spatial is None or (free.any() and np.array_equal(
-        free, spatial[:, None] & ~grid.pinned(data)))
-    precond = None
-    if product:
-        sigma = penalty_shift(x0, spec, eps, beta, ~free)
-        precond = gridmod.FreeBlockInverse(grid, data, eps, sigma, spatial)
+    precond = exact_metric(grid, spec, eps, beta, x0, free)
     x, info = projected_bb(x0, value_fn, grad_fn, mass, cfg, L, change_fn,
                            precond)
     out_field = StateField(x, grid, spec)

@@ -23,10 +23,10 @@ from .continuation import original_time_l2, segregated_ladder, to_original_time
 from .functional import (
     _slice_terms, penalty_density, potential_gradient, slice_potential_change,
 )
-from .grid import FreeBlockInverse, SpaceTimeGrid, resample_in_time
+from .grid import SpaceTimeGrid, resample_in_time
 from .model import BoundaryData, SystemSpec
 from .optimizer import (
-    OptimizerConfig, curvature_bound, minimize, penalty_shift, projected_bb,
+    OptimizerConfig, curvature_bound, exact_metric, minimize, projected_bb,
 )
 
 #: the oracle discrepancy counts as decreasing along the eps ladder when
@@ -172,9 +172,10 @@ def minimize_elliptic(spec: SystemSpec, data: BoundaryData,
 
     Boundary nodes stay pinned to the trace of v0 whatever ``data.bc_mode``
     says, and nodes outside ``support`` (a (k, *space) boolean mask), when
-    given, are held at zero; the initial iterate is v0 itself.  The descent
-    runs in the one-slice ``grid.FreeBlockInverse`` on the free set (sigma
-    from ``penalty_shift``), so a zero-reaction refine takes one step.
+    given, are held at zero; the initial iterate is v0 itself.  The metric
+    is ``optimizer.exact_metric`` of the (k, *space) mask of the nodes that
+    move, the one-slice ``grid.FreeBlockInverse``: a zero-reaction refine
+    takes one step.
     """
     cfg = config or OptimizerConfig()
     bmask = grid.boundary_mask
@@ -198,12 +199,7 @@ def minimize_elliptic(spec: SystemSpec, data: BoundaryData,
 
     L = curvature_bound(grid, spec, 1.0, beta)
     L += 2.0 * _reaction_slope_bound(spec)
-    precond = None
-    if free.any():
-        sigma = penalty_shift(w0, spec, 1.0, beta, ~free)
-        spatial = None if support is None else free
-        precond = FreeBlockInverse(grid, data, 1.0, sigma, spatial,
-                                   stationary=True)
+    precond = exact_metric(grid, spec, 1.0, beta, w0, free)
     w, info = projected_bb(w0, value_fn, grad_fn, mass, cfg, L, change_fn,
                            precond)
     return EllipticResult(

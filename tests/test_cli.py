@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -202,9 +203,84 @@ class TestExitCodes:
         assert "config error: grid.T_r" in capsys.readouterr().err
         assert not (out / "summary.json").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("oracle_dtau", "0"), ("oracle_dtau", "-0.01"), ("n_x_bumps", "0"),
+        ("n_t_bumps", "0"), ("scales", ""), ("scales", "-0.1"),
+        ("c_w", "-1"),
+    ], ids=["oracle_dtau=0", "oracle_dtau<0", "n_x_bumps=0", "n_t_bumps=0",
+            "scales=empty", "scales<0", "c_w<0"])
+    def test_bad_diagnostics_value_is_2_before_any_solve(
+            self, tmp_path, capsys, monkeypatch, key, value):
+        # each of these used to die after the ladder, or to fail the
+        # weak-inequality verdicts silently
+        from wideseg import cli
+
+        monkeypatch.setattr(cli, "run_eps_ladder",
+                            lambda *a, **k: pytest.fail("the ladder ran"))
+        cfg = re.sub(rf"^{key} = .*\n", "", BASE_CFG, flags=re.M)
+        cfg += f"{key} = {value}\n"
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(out)])
+        assert code == 2
+        assert f"config error: diagnostics.{key}" in capsys.readouterr().err
+        assert not (out / "summary.json").exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--dtau", "0"], ["--dtau", "-0.01"], ["--steps", "-1"],
+    ], ids=["dtau=0", "dtau<0", "steps<0"])
+    def test_bad_oracle_flag_is_2(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        code = main(["oracle", "--config", str(write_cfg(tmp_path, BASE_CFG)),
+                     "--out", str(out), "--beta", "10"] + flags)
+        assert code == 2
+        assert f"config error: {flags[0]}" in capsys.readouterr().err
+        assert not (out / "parabolic.csv").exists()
+
     def test_check_and_report_missing_artifacts(self, tmp_path, capsys):
         assert main(["check", "--artifacts", str(tmp_path)]) == 2
         assert main(["report", "--artifacts", str(tmp_path)]) == 2
+
+
+class TestSubcommands:
+    """``minimize``, ``oracle`` and ``elliptic`` on the tiny config: each
+    writes its one CSV, one row per (t, node) or per beta."""
+
+    def run(self, tmp_path, command, *flags, cfg=BASE_CFG):
+        out = tmp_path / "out"
+        code = main([command, "--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(out), *flags])
+        return code, out
+
+    def test_minimize_writes_minimizer_csv(self, tmp_path):
+        code, out = self.run(tmp_path, "minimize", "--eps", "0.2",
+                             "--beta", "10")
+        assert code == 0
+        rows = (out / "minimizer.csv").read_text().splitlines()
+        assert rows[0] == "t,x,v1,v2"
+        assert len(rows) - 1 == 21 * 17
+
+    def test_unconverged_minimize_is_1(self, tmp_path):
+        starved = BASE_CFG.replace("max_iters = 1500", "max_iters = 0")
+        code, out = self.run(tmp_path, "minimize", "--eps", "0.2",
+                             "--beta", "10", cfg=starved)
+        assert code == 1
+        assert (out / "minimizer.csv").exists()
+
+    def test_oracle_writes_parabolic_csv(self, tmp_path):
+        code, out = self.run(tmp_path, "oracle", "--beta", "10",
+                             "--steps", "5")
+        assert code == 0
+        rows = (out / "parabolic.csv").read_text().splitlines()
+        assert rows[0] == "t,x,v1,v2"
+        assert len(rows) - 1 == 6 * 17
+
+    def test_elliptic_writes_ladder_csv(self, tmp_path):
+        code, out = self.run(tmp_path, "elliptic")
+        assert code == 0
+        rows = (out / "elliptic_ladder.csv").read_text().splitlines()
+        assert rows[0] == "beta,overlap,energy"
+        assert [float(r.split(",")[0]) for r in rows[1:]] == [10.0, 100.0]
 
 
 @pytest.fixture(scope="module")

@@ -342,7 +342,7 @@ class TestPreconditioned:
             precond = None
             apply_P = lambda e: L * mass * e
         else:
-            precond = FreeBlockInverse(g, data, 0.1, 0.0)
+            precond = FreeBlockInverse(g, 0.1, 0.0, mass > 0.0)
             Q = g.quadratic_operator(0.1)
             apply_P = lambda e: np.stack(
                 [Q @ ei for ei in e.reshape(2, -1)]).reshape(e.shape)
