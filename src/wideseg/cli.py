@@ -25,7 +25,7 @@ from . import diagnostics as diag
 from . import oracle as oracle_mod
 from .continuation import LadderSpec, run_eps_ladder, to_original_time
 from .functional import competitor_value, eval_J
-from .grid import SpaceTimeGrid, StateField, build_grid
+from .grid import SpaceTimeGrid, StateField
 from .model import (
     BC_MODES, BoundaryData, ReactionFamily, SystemSpec, preset_v0,
     validate_boundary, validate_system,
@@ -50,11 +50,11 @@ class ConfigError(Exception):
 class RunConfig:
     name: str
     spec: SystemSpec
-    preset: str
-    bc_mode: str
     grid_kwargs: dict
     ladder: LadderSpec
     optimizer: OptimizerConfig
+    preset: str = "two_ramp"
+    bc_mode: str = "dirichlet_and_initial"
     n_x_bumps: int = 5
     n_t_bumps: int = 3
     scales: tuple = (0.12, 0.2)
@@ -128,26 +128,6 @@ def parse_config(path) -> RunConfig:
     for where, msg in validate_system(spec):
         raise ConfigError(f"system.{where}", msg)
 
-    preset = _get(cp, "boundary", "preset", "two_ramp", str)
-    bc_mode = _get(cp, "boundary", "bc_mode", "dirichlet_and_initial", str)
-    if bc_mode not in BC_MODES:
-        raise ConfigError(
-            "boundary.bc_mode", f"must be one of {', '.join(BC_MODES)}"
-        )
-
-    dim = _get(cp, "grid", "dim", 1, int)
-    gk = {
-        "dim": dim,
-        "nx": _get(cp, "grid", "nx", 63, int),
-        "Lx": _get(cp, "grid", "Lx", 1.0, float),
-        "nt": _get(cp, "grid", "nt", 201, int),
-        "T_r": _get(cp, "grid", "T_r", 20.0, float),
-        **_set_keys(cp, "grid", tail_tol=float),
-    }
-    if dim == 2:
-        gk["ny"] = _get(cp, "grid", "ny", 63, int)
-        gk["Ly"] = _get(cp, "grid", "Ly", 1.0, float)
-
     floats = lambda txt: tuple(float(v) for v in txt.split())
     try:
         ladder = LadderSpec(**_set_keys(
@@ -176,10 +156,16 @@ def parse_config(path) -> RunConfig:
         if key in diagnostics and not ok(diagnostics[key]):
             raise ConfigError(f"diagnostics.{key}", msg)
     rc = RunConfig(
-        name=name, spec=spec, preset=preset, bc_mode=bc_mode,
-        grid_kwargs=gk, ladder=ladder, optimizer=opt,
-        raw={s: dict(cp.items(s)) for s in cp.sections()}, **diagnostics,
+        name=name, spec=spec, ladder=ladder, optimizer=opt,
+        grid_kwargs=_set_keys(cp, "grid", dim=int, nx=int, Lx=float, nt=int,
+                              T_r=float, ny=int, Ly=float, tail_tol=float),
+        raw={s: dict(cp.items(s)) for s in cp.sections()},
+        **_set_keys(cp, "boundary", preset=str, bc_mode=str), **diagnostics,
     )
+    if rc.bc_mode not in BC_MODES:
+        raise ConfigError(
+            "boundary.bc_mode", f"must be one of {', '.join(BC_MODES)}"
+        )
     if cp.has_option("output", "dir"):
         rc.out_dir = _get(cp, "output", "dir", None, str)
     return rc
@@ -188,7 +174,7 @@ def parse_config(path) -> RunConfig:
 def make_inputs(rc: RunConfig):
     """Grid and boundary data resolved from a parsed config."""
     try:
-        grid = build_grid(**rc.grid_kwargs)
+        grid = SpaceTimeGrid(**rc.grid_kwargs)
     except ValueError as exc:
         raise ConfigError("grid", str(exc))
     try:
@@ -227,7 +213,8 @@ def write_field_csv(path: Path, vals: np.ndarray, taus: np.ndarray,
 
 def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
     """Full ladder pipeline plus diagnostics.  Returns (exit_code, summary)."""
-    if rc.grid_kwargs["T_r"] < WINDOW_HORIZON:
+    grid, data = make_inputs(rc)
+    if grid.T_r < WINDOW_HORIZON:
         raise ConfigError("grid.T_r", "the uniformity windows need T_r >= "
                           f"{WINDOW_HORIZON:g}")
     if rc.run_elliptic:
@@ -237,7 +224,6 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
                 raise ConfigError(f"ladder.{key}",
                                   "run_elliptic needs at least two values")
     out_dir.mkdir(parents=True, exist_ok=True)
-    grid, data = make_inputs(rc)
     spec = rc.spec
     summary = {
         "scenario": rc.name,
@@ -505,14 +491,15 @@ def cmd_minimize(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    if args.dtau <= 0:
+    rc = _load_rc(args)
+    dtau = rc.oracle_dtau if args.dtau is None else args.dtau
+    if dtau <= 0:
         raise ConfigError("--dtau", "must be positive")
     if args.steps < 0:
         raise ConfigError("--steps", "must be at least 0")
-    rc = _load_rc(args)
     grid, data = make_inputs(rc)
     run = oracle_mod.step_parabolic(
-        rc.spec, data, grid, args.beta, args.dtau, args.steps
+        rc.spec, data, grid, args.beta, dtau, args.steps
     )
     out = Path(rc.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -608,7 +595,8 @@ def main(argv=None) -> int:
     p = sub.add_parser("oracle", help="parabolic reference run")
     add_common(p)
     p.add_argument("--beta", type=float, required=True)
-    p.add_argument("--dtau", type=float, default=1e-3)
+    p.add_argument("--dtau", type=float,
+                   help="step in original time (default: oracle_dtau)")
     p.add_argument("--steps", type=int, default=100)
     p.set_defaults(fn=cmd_oracle)
 

@@ -20,7 +20,8 @@ form sum_i 1/2 u_i^T Q u_i of the grid's ``quadratic_operator(eps)``, and
 the reaction and penalty terms are pointwise with the node weights.  The
 gradient and the step change read Q; the values keep the per-cell
 stencils, ``eval_J`` because ``EnergyTrace`` needs I per cell and R per
-slice, ``eval_J_value`` for its round-off.
+slice, ``eval_J_value`` for its round-off.  ``form_change`` is the step
+change of J and, with Q = 2S and the spatial weights, of one slice's.
 """
 
 from __future__ import annotations
@@ -98,10 +99,8 @@ def eval_J(field: StateField, eps: float, beta: float) -> EnergyTrace:
     return EnergyTrace(t=g.t, I=I, R=R, E=E, J=J)
 
 
-def _apply_quadratic(u: np.ndarray, grid: SpaceTimeGrid,
-                     eps: float) -> np.ndarray:
-    """Q u_i for every species i, in the shape of u (k, nt, *space)."""
-    Q = grid.quadratic_operator(eps)
+def _apply_quadratic(u: np.ndarray, Q) -> np.ndarray:
+    """Q u_i for every species i, in the shape of u (k, *nodes)."""
     out = np.empty(u.shape)
     for ui, oi in zip(u.reshape(len(u), -1), out.reshape(len(u), -1)):
         oi[:] = Q @ ui
@@ -132,54 +131,40 @@ def _penalty_change(u: np.ndarray, d: np.ndarray, p: np.ndarray,
                      np.tensordot(A, 2.0 * u * u + da, axes=1))
 
 
-def slice_potential_change(u: np.ndarray, d: np.ndarray, grid: SpaceTimeGrid,
-                           spec: SystemSpec, beta: float) -> np.ndarray:
-    """Per-slice change of D - 2F + (beta/2)P when u moves to u + d.
+def form_change(u: np.ndarray, d: np.ndarray, Q, weights: np.ndarray,
+                spec: SystemSpec, eps: float, beta: float) -> float:
+    """E(u + d) - E(u), free of cancellation, for the energy
 
-    u and d have shape (k, n_slices, *space).  Every term is a local
-    difference that carries d as a factor -- grad(2u + d) . grad d for
-    |grad u|^2, F(u + d) - F(u) factored through d, and <da, A(2a + da)>
-    for <a, A a> with a = u^2, da = d (2u + d) and A symmetric -- so the
-    result is exactly 0 where d is and picks up no round-off from the
-    unchanged part of u.
-    """
-    p = 2.0 * u + d
-    D = grid.dirichlet_form(p, d).sum(axis=0)
-    if spec.reactive:
-        F = grid.integrate(spec.F_sum_change(u, d))
-    else:
-        F = np.zeros(u.shape[1])
-    if beta != 0.0:
-        P = grid.integrate(_penalty_change(u, d, p, spec.A))
-    else:
-        P = np.zeros(u.shape[1])
-    return D - 2.0 * F + 0.5 * beta * P
+        E(u) = sum_i 1/2 u_i.Q u_i
+               + eps sum weights * (-2 F(u) + (beta/2) <u^2, A u^2>)
 
-
-def eval_J_change(field: StateField, d: np.ndarray, eps: float,
-                  beta: float) -> float:
-    """J(u + d) - J(u) for u = field.values, free of cancellation.
-
+    of fields u, d of shape (k, *nodes), the weights of shape nodes.
     Near a minimizer the true change of a step can lie far below the
-    round-off of J itself (a step confined to late time slices, whose
-    weight is about e^{-T_r}, changes J by less than its ulp), so
-    ``eval_J_value(u + d) - eval_J_value(u)`` is noise there.  Here the
-    quadratic part is 1/2 d . Q(2u + d), the reaction part is
-    ``F_sum_change`` and the penalty part ``<da, A(2a + da)>``: every term
-    carries d as a factor, so it is exactly 0 where d is.
+    round-off of E itself (a step confined to late time slices, whose
+    weight is about e^{-T_r}, changes J by less than its ulp), so a
+    difference of two values is noise there.  Here the quadratic part is
+    1/2 d . Q(2u + d), the reaction part is ``F_sum_change`` and the
+    penalty part ``<da, A(2a + da)>``: every term carries d as a factor, so
+    it is exactly 0 where d is.
     """
-    g = field.grid
-    spec = field.spec
-    u = field.values
     p = 2.0 * u + d
-    quad = 0.5 * np.vdot(d, _apply_quadratic(p, g, eps))
+    quad = 0.5 * np.vdot(d, _apply_quadratic(p, Q))
     dens = -2.0 * spec.F_sum_change(u, d) if spec.reactive else None
     if beta != 0.0:
         pen = 0.5 * beta * _penalty_change(u, d, p, spec.A)
         dens = pen if dens is None else dens + pen
     if dens is None:
         return float(quad)
-    return float(quad + eps * np.vdot(g.node_weights, dens))
+    return float(quad + eps * np.vdot(weights, dens))
+
+
+def eval_J_change(field: StateField, d: np.ndarray, eps: float,
+                  beta: float) -> float:
+    """J(u + d) - J(u) for u = field.values: ``form_change`` with the
+    grid's ``quadratic_operator(eps)`` and node weights."""
+    g = field.grid
+    return form_change(field.values, d, g.quadratic_operator(eps),
+                       g.node_weights, field.spec, eps, beta)
 
 
 def _pointwise_gradient(u: np.ndarray, spec: SystemSpec, beta: float,
@@ -231,7 +216,7 @@ def grad_J(field: StateField, eps: float, beta: float,
     """
     g = field.grid
     u = field.values
-    out = _apply_quadratic(u, g, eps)
+    out = _apply_quadratic(u, g.quadratic_operator(eps))
     pot = _pointwise_gradient(u, field.spec, beta, eps * g.node_weights)
     if pot is not None:
         out += pot

@@ -25,16 +25,18 @@ from .model import BoundaryData, SystemSpec
 
 @dataclass
 class SpaceTimeGrid:
-    dim: int
-    nx: int
-    Lx: float
-    nt: int
-    T_r: float
-    ny: int = 0
-    Ly: float = 0.0
+    """The ``[grid]`` section of a config; ny and Ly are read in 2-D only."""
+
+    dim: int = 1
+    nx: int = 63
+    Lx: float = 1.0
+    nt: int = 201
+    T_r: float = 20.0
+    ny: int = 63
+    Ly: float = 1.0
     tail_tol: float = 1e-8
 
-    # derived quantities, filled by build_grid
+    # derived quantities, filled by __post_init__
     dx: float = field(init=False)
     dy: float = field(init=False, default=0.0)
     dt: float = field(init=False)
@@ -250,16 +252,6 @@ class SpaceTimeGrid:
         if self.dim == 2:
             md.update(ny=self.ny, Ly=self.Ly, dy=self.dy)
         return md
-
-
-def build_grid(dim, nx, Lx, nt, T_r, ny=None, Ly=None,
-               tail_tol=None) -> SpaceTimeGrid:
-    """A SpaceTimeGrid; ``tail_tol`` keeps the grid's default unless given."""
-    extra = {} if tail_tol is None else {"tail_tol": tail_tol}
-    return SpaceTimeGrid(
-        dim=dim, nx=nx, Lx=Lx, nt=nt, T_r=T_r,
-        ny=ny or 0, Ly=Ly or 0.0, **extra,
-    )
 
 
 def free_rows(grid: SpaceTimeGrid, free: np.ndarray) -> tuple:

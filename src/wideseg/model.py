@@ -141,7 +141,7 @@ def validate_system(spec: SystemSpec) -> list[tuple[str, str]]:
     Returns (field, message) pairs, the field one of ``k``, ``A``,
     ``A[i][j]`` (0-based) or ``reactions``; an empty list means ok.  A
     must be exactly symmetric: the cancellation-free penalty change in
-    ``functional.slice_potential_change`` relies on it.
+    ``functional.form_change`` relies on it.
     """
     out: list[tuple[str, str]] = []
     if spec.k < 2:

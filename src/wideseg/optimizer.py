@@ -331,13 +331,6 @@ def node_mass(grid: SpaceTimeGrid, spec: SystemSpec) -> np.ndarray:
     return np.repeat(grid.node_weights[None], spec.k, axis=0)
 
 
-def curvature_estimate(grid: SpaceTimeGrid, spec: SystemSpec,
-                       eps: float, beta: float) -> float:
-    """Upper bound on the preconditioned Hessian diagonal of the space-time
-    functional: the time stencil's 8 / dt^2 plus ``curvature_bound``."""
-    return curvature_bound(grid, spec, eps, beta, 8.0 / grid.dt**2)
-
-
 def curvature_bound(grid: SpaceTimeGrid, spec: SystemSpec, eps: float,
                     beta: float, L: float = 0.0) -> float:
     """L plus the curvature bounds of eps times the spatial stencil and of
@@ -421,7 +414,8 @@ def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
     def grad_fn(x):
         return grad_J(StateField(x, grid, spec), eps, beta, data)
 
-    L = curvature_estimate(grid, spec, eps, beta)
+    # the time stencil's 8 / dt^2 plus the spatial and penalty bounds
+    L = curvature_bound(grid, spec, eps, beta, 8.0 / grid.dt**2)
     free = mass > 0.0
     precond = exact_metric(grid, spec, eps, beta, x0, free)
     x, info = projected_bb(x0, value_fn, grad_fn, mass, cfg, L, change_fn,

@@ -21,7 +21,7 @@ from scipy.sparse.linalg import spsolve
 
 from .continuation import original_time_l2, segregated_ladder, to_original_time
 from .functional import (
-    _slice_terms, penalty_density, potential_gradient, slice_potential_change,
+    _slice_terms, form_change, penalty_density, potential_gradient,
 )
 from .grid import SpaceTimeGrid, resample_in_time
 from .model import BoundaryData, SystemSpec
@@ -190,9 +190,9 @@ def minimize_elliptic(spec: SystemSpec, data: BoundaryData,
         return elliptic_energy(w, grid, spec, beta)
 
     def change_fn(w, d):
-        return float(
-            slice_potential_change(w[:, None], d[:, None], grid, spec, beta)[0]
-        )
+        # the one-slice Q of ``FreeBlockInverse`` at eps = 1
+        return form_change(w, d, 2.0 * grid.dirichlet_stiffness,
+                           grid.space_weights, spec, 1.0, beta)
 
     def grad_fn(w):
         return potential_gradient(w[:, None], grid, spec, beta)[:, 0]

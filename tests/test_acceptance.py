@@ -22,7 +22,7 @@ from wideseg.diagnostics import (
 from wideseg.functional import (
     energy_identity_residual, eval_J_value, grad_J,
 )
-from wideseg.grid import StateField, build_grid
+from wideseg.grid import SpaceTimeGrid, StateField
 from wideseg.model import BoundaryData, ReactionFamily, SystemSpec, preset_v0
 from wideseg.optimizer import OptimizerConfig, minimize
 from wideseg.oracle import (
@@ -37,7 +37,7 @@ EPSILONS = (0.2, 0.1, 0.05, 0.025)
 
 @pytest.fixture(scope="session")
 def desk():
-    g = build_grid(1, NX, 1.0, NT, T_R)
+    g = SpaceTimeGrid(1, NX, 1.0, NT, T_R)
     spec = SystemSpec.make(2, [[0, 1], [1, 0]])
     data = BoundaryData.make(
         preset_v0("two_ramp", g.x_field(), 2), "dirichlet_and_initial"
@@ -194,7 +194,7 @@ def test_criterion_08_cauchy_double_limit(ladder_run):
 
 
 def test_criterion_09_oracle_calibration():
-    g = build_grid(1, NX, 1.0, 21, T_R)
+    g = SpaceTimeGrid(1, NX, 1.0, 21, T_R)
     spec = SystemSpec.make(1, [[0.0]])
     v0 = np.sin(np.pi * g.x)[None]
     data = BoundaryData.make(v0, "dirichlet_and_initial")

@@ -4,7 +4,10 @@ from pathlib import Path
 
 import pytest
 
-from wideseg.cli import ConfigError, main, parse_config
+from wideseg.cli import (
+    ConfigError, RunConfig, main, make_inputs, parse_config,
+)
+from wideseg.grid import SpaceTimeGrid
 from wideseg.optimizer import OptimizerConfig
 
 BASE_CFG = """\
@@ -68,6 +71,24 @@ class TestParseConfig:
         assert rc.optimizer == OptimizerConfig(max_iters=1500, grad_tol=1e-5)
         assert (rc.n_x_bumps, rc.scales, rc.run_elliptic, rc.out_dir) == (
             5, (0.12, 0.2), True, "out")
+
+    @pytest.mark.parametrize("edit, left_out", [
+        (("nt = 21\n", ""), ["nt", "tail_tol"]),
+        (("dim = 1\n", "dim = 2\n"), ["ny", "Ly"]),
+    ], ids=["1d", "2d"])
+    def test_left_out_grid_keys_take_class_defaults(self, tmp_path, edit,
+                                                    left_out):
+        # [grid] and [boundary] keys left out take the defaults of the
+        # classes built from them, SpaceTimeGrid and RunConfig
+        sparse = BASE_CFG.replace(*edit)
+        sparse = re.sub(r"^(preset|bc_mode) = .*\n", "", sparse, flags=re.M)
+        rc = parse_config(write_cfg(tmp_path, sparse))
+        grid, _ = make_inputs(rc)
+        assert (rc.preset, rc.bc_mode) == (RunConfig.preset,
+                                           RunConfig.bc_mode)
+        assert grid.nx == 15
+        for key in left_out:
+            assert getattr(grid, key) == getattr(SpaceTimeGrid, key)
 
     def test_bad_reaction_named(self, tmp_path):
         bad = BASE_CFG.replace("reactions = zero zero",
@@ -274,6 +295,16 @@ class TestSubcommands:
         rows = (out / "parabolic.csv").read_text().splitlines()
         assert rows[0] == "t,x,v1,v2"
         assert len(rows) - 1 == 6 * 17
+
+    def test_oracle_step_defaults_to_config(self, tmp_path, capsys):
+        # [diagnostics] oracle_dtau is the step unless --dtau is given
+        cfg = BASE_CFG.replace("oracle_dtau = 1e-3", "oracle_dtau = 5e-4")
+        for flags, tau in (([], 5e-3), (["--dtau", "2e-3"], 2e-2)):
+            code, _ = self.run(tmp_path, "oracle", "--beta", "10",
+                               "--steps", "10", *flags, cfg=cfg)
+            assert code == 0
+            printed = capsys.readouterr().out.split("tau = ")[1]
+            assert float(printed) == pytest.approx(tau, rel=1e-15)
 
     def test_elliptic_writes_ladder_csv(self, tmp_path):
         code, out = self.run(tmp_path, "elliptic")

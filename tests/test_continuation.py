@@ -5,7 +5,7 @@ from wideseg.continuation import (
     LadderSpec, hard_segregation, original_time_l2, run_beta_ladder,
     run_eps_ladder, to_original_time,
 )
-from wideseg.grid import StateField, build_grid
+from wideseg.grid import SpaceTimeGrid, StateField
 from wideseg.model import BoundaryData, SystemSpec, preset_v0
 from wideseg.optimizer import OptimizerConfig
 
@@ -13,7 +13,7 @@ T_R = 20.0
 
 
 def setup(nx=15, nt=21):
-    g = build_grid(1, nx, 1.0, nt, T_R)
+    g = SpaceTimeGrid(1, nx, 1.0, nt, T_R)
     spec = SystemSpec.make(2, [[0, 1], [1, 0]])
     data = BoundaryData.make(
         preset_v0("two_ramp", g.x_field(), 2), "dirichlet_and_initial"

@@ -8,7 +8,7 @@ from wideseg.diagnostics import (
     weak_tolerance,
 )
 from wideseg.functional import competitor_field, eval_J
-from wideseg.grid import StateField, build_grid
+from wideseg.grid import SpaceTimeGrid, StateField
 from wideseg.model import BoundaryData, SystemSpec, preset_v0
 from wideseg.oracle import step_parabolic
 
@@ -16,7 +16,7 @@ T_R = 20.0
 
 
 def setup(nx=15, nt=21):
-    g = build_grid(1, nx, 1.0, nt, T_R)
+    g = SpaceTimeGrid(1, nx, 1.0, nt, T_R)
     spec = SystemSpec.make(2, [[0, 1], [1, 0]])
     data = BoundaryData.make(
         preset_v0("two_ramp", g.x_field(), 2), "dirichlet_and_initial"
@@ -41,8 +41,8 @@ class TestOverlap:
 
 #: a 1-D grid and a non-square 2-D grid for the dimension-generic checks
 WEAK_GRIDS = {
-    "1d": build_grid(1, 15, 1.0, 21, T_R),
-    "2d": build_grid(2, 9, 1.0, 21, T_R, ny=7, Ly=0.8),
+    "1d": SpaceTimeGrid(1, 15, 1.0, 21, T_R),
+    "2d": SpaceTimeGrid(2, 9, 1.0, 21, T_R, ny=7, Ly=0.8),
 }
 
 
@@ -69,7 +69,7 @@ class TestBumpLattice:
             assert lat.skipped == 3 ** g.dim * 2, name
 
     def test_bump_calculus(self):
-        g = build_grid(1, 7, 1.0, 11, T_R)     # nodes at multiples of 1/8
+        g = SpaceTimeGrid(1, 7, 1.0, 11, T_R)     # nodes at multiples of 1/8
         b = Bump(xc=0.5, rx=0.25, tc=1.0, rt=0.5)
         eta, _ = b.space_parts(g)
         np.testing.assert_allclose(eta[[4, 2, 6, 0]], [1.0, 0.0, 0.0, 0.0],
@@ -78,7 +78,7 @@ class TestBumpLattice:
         _, slope = Bump(xc=0.5625, rx=0.25, tc=1.0, rt=0.5).space_parts(g)
         assert slope[4] == 0.0
         # slope peaks at 8/(3 sqrt 3) / rx in profile coordinates
-        _, d = b.space_parts(build_grid(1, 3999, 1.0, 11, T_R))
+        _, d = b.space_parts(SpaceTimeGrid(1, 3999, 1.0, 11, T_R))
         assert np.max(np.abs(d)) <= 8.0 / (3.0 * np.sqrt(3.0)) / 0.25 + 1e-6
         assert b.support_measure == pytest.approx(0.5 * 1.0)
 
@@ -89,10 +89,10 @@ class TestBumpLattice:
         # h^2/24 max|eta'''| = h^2 / r^3 per axis; a misordered or
         # transposed slope vector is off by O(1)
         if dim == 1:
-            g = build_grid(1, 63, 1.0, 11, T_R)
+            g = SpaceTimeGrid(1, 63, 1.0, 11, T_R)
             b = Bump(xc=0.5, rx=0.25, tc=1.0, rt=0.5)
         else:
-            g = build_grid(2, 63, 1.0, 11, T_R, ny=47, Ly=0.9)
+            g = SpaceTimeGrid(2, 63, 1.0, 11, T_R, ny=47, Ly=0.9)
             b = Bump(xc=0.5, rx=0.25, tc=1.0, rt=0.5,
                      yc=24 * g.dy, ry=10 * g.dy)
         eta, slope = b.space_parts(g)
@@ -202,8 +202,8 @@ class TestWeakInequalities:
                                                     abs=1e-15)
 
     def test_tolerance_scales_with_mesh(self):
-        g_coarse = build_grid(1, 7, 1.0, 11, T_R)
-        g_fine = build_grid(1, 63, 1.0, 11, T_R)
+        g_coarse = SpaceTimeGrid(1, 7, 1.0, 11, T_R)
+        g_fine = SpaceTimeGrid(1, 63, 1.0, 11, T_R)
         b = Bump(xc=0.5, rx=0.2, tc=1.0, rt=0.3)
         assert weak_tolerance(b, g_fine, 0.01) < weak_tolerance(b, g_coarse, 0.01)
 

@@ -5,10 +5,10 @@ from hypothesis import given, settings, strategies as st
 from wideseg import grid as gridmod
 from wideseg.functional import (
     competitor_field, competitor_value, energy_identity_residual, eval_J,
-    eval_J_change, eval_J_value, grad_J, penalty_density, potential_gradient,
-    slice_potential,
+    eval_J_change, eval_J_value, form_change, grad_J, penalty_density,
+    potential_gradient, slice_potential,
 )
-from wideseg.grid import StateField, build_grid
+from wideseg.grid import SpaceTimeGrid, StateField
 from wideseg.model import BoundaryData, ReactionFamily, SystemSpec, preset_v0
 from wideseg.optimizer import ROUNDOFF_RTOL, OptimizerConfig, minimize
 from wideseg.oracle import elliptic_energy
@@ -18,7 +18,7 @@ WEIGHT_MASS = 1.0 - np.exp(-T_R)
 
 
 def make_setup(nx=15, nt=21):
-    g = build_grid(1, nx, 1.0, nt, T_R)
+    g = SpaceTimeGrid(1, nx, 1.0, nt, T_R)
     spec = SystemSpec.make(2, [[0, 1], [1, 0]])
     data = BoundaryData.make(
         preset_v0("two_ramp", g.x_field(), 2), "dirichlet_and_initial"
@@ -83,14 +83,14 @@ class TestDirichletEnergy:
     """The Dirichlet term of u = x is the integral of |grad x|^2 = 1."""
 
     def test_unit_interval(self):
-        g = build_grid(1, 15, 1.0, 5, T_R)
+        g = SpaceTimeGrid(1, 15, 1.0, 5, T_R)
         np.testing.assert_allclose(dirichlet_energy_of_x(g), 1.0, rtol=1e-13)
 
     @pytest.mark.xfail(strict=True, reason=(
         "known defect: the 2-D Dirichlet form is half of the integral of "
         "|grad u|^2 (see ROADMAP)"))
     def test_unit_square(self):
-        g = build_grid(2, 7, 1.0, 5, T_R, ny=7, Ly=1.0)
+        g = SpaceTimeGrid(2, 7, 1.0, 5, T_R, ny=7, Ly=1.0)
         np.testing.assert_allclose(dirichlet_energy_of_x(g), 1.0, rtol=1e-13)
 
 
@@ -144,10 +144,10 @@ class TestGradient:
 def cubic_case(dim):
     """Random pinned field with cubic reactions: (grid, spec, data, u)."""
     if dim == 1:
-        g = build_grid(1, 15, 1.0, 21, T_R)
+        g = SpaceTimeGrid(1, 15, 1.0, 21, T_R)
         k, preset = 2, "two_ramp"
     else:
-        g = build_grid(2, 7, 1.0, 21, T_R, ny=5, Ly=0.8)
+        g = SpaceTimeGrid(2, 7, 1.0, 21, T_R, ny=5, Ly=0.8)
         k, preset = 3, "k_blocks"
     spec = SystemSpec.make(
         k, np.ones((k, k)) - np.eye(k), [ReactionFamily("cubic", 1.5)] * k
@@ -260,6 +260,26 @@ class TestChange:
         assert abs(full) <= 8 * np.spacing(J)
         assert change == pytest.approx(first_order, rel=1e-6)
 
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_stationary_change(self, dim):
+        # the stationary oracle's step change: form_change with the
+        # one-slice pair (2 S, spatial weights) at eps = 1
+        g, spec, _, u = cubic_case(dim)
+        w = u[:, g.nt // 2]
+        rng = np.random.default_rng(5)
+        Q = 2.0 * g.dirichlet_stiffness
+
+        def change(d):
+            return form_change(w, d, Q, g.space_weights, spec, 1.0, 50.0)
+
+        for scale in (0.3, 1e-2):
+            d = rng.normal(0.0, scale, w.shape)
+            d[:, g.boundary_mask] = 0.0
+            full = (elliptic_energy(w + d, g, spec, 50.0)
+                    - elliptic_energy(w, g, spec, 50.0))
+            assert change(d) == pytest.approx(full, rel=1e-10)
+        assert change(np.zeros_like(w)) == 0.0
+
     @pytest.mark.parametrize("eps,beta", [(0.2, 1000.0), (0.05, 10.0)])
     def test_value_difference_well_inside_roundoff_window(self, eps, beta):
         # the descent trusts a difference of two full values whenever it
@@ -267,7 +287,7 @@ class TestChange:
         # against, so on a smooth desk-size field that difference must be
         # far more accurate; summed as 1/2 u.Qu instead of per-cell squares
         # it is off by up to 5e-15 |J| here
-        g = build_grid(1, 63, 1.0, 201, T_R)
+        g = SpaceTimeGrid(1, 63, 1.0, 201, T_R)
         spec = SystemSpec.make(2, [[0, 1], [1, 0]])
         data = BoundaryData.make(preset_v0("two_ramp", g.x_field(), 2))
         u = np.broadcast_to(data.v0[:, None], (2, g.nt, g.nx + 2)).copy()
@@ -293,9 +313,9 @@ class TestQuadraticForm:
     def test_half_uQu_is_J_without_reactions(self, dim):
         # nt = 41 gives dt = 0.5, so a wrong power of dt in Q shows
         if dim == 1:
-            g = build_grid(1, 15, 1.0, 41, T_R)
+            g = SpaceTimeGrid(1, 15, 1.0, 41, T_R)
         else:
-            g = build_grid(2, 7, 1.0, 41, T_R, ny=5, Ly=0.8)
+            g = SpaceTimeGrid(2, 7, 1.0, 41, T_R, ny=5, Ly=0.8)
         k = dim + 1
         spec = SystemSpec.make(k, np.ones((k, k)) - np.eye(k))
         u = np.random.default_rng(5).uniform(0, 1, (k, g.nt) + g.space_shape)

@@ -7,7 +7,7 @@ from scipy.interpolate import interp1d
 from scipy.sparse.linalg import spsolve
 
 from wideseg.grid import (
-    FreeBlockInverse, SpaceTimeGrid, StateField, build_grid, cell_gradient,
+    FreeBlockInverse, SpaceTimeGrid, StateField, cell_gradient,
     discrete_time_derivative, free_mask, impose_pins, resample_in_time,
 )
 from wideseg.model import BC_MODES, BoundaryData, SystemSpec, preset_v0
@@ -15,7 +15,7 @@ from wideseg.oracle import _stiffness
 
 
 def small_grid():
-    return build_grid(1, 7, 1.0, 11, 20.0)
+    return SpaceTimeGrid(1, 7, 1.0, 11, 20.0)
 
 
 class TestWeights:
@@ -38,30 +38,25 @@ class TestWeights:
 
     def test_tail_flag(self):
         assert small_grid().tail_ok
-        assert not build_grid(1, 7, 1.0, 11, 5.0).tail_ok
-
-    def test_tail_tol_default_lives_in_the_grid(self):
-        # build_grid passes tail_tol on only when given
-        default = SpaceTimeGrid(1, 7, 1.0, 11, 20.0).tail_tol
-        assert small_grid().tail_tol == default
-        assert build_grid(1, 7, 1.0, 11, 5.0, tail_tol=1e-2).tail_ok
+        assert not SpaceTimeGrid(1, 7, 1.0, 11, 5.0).tail_ok
+        assert SpaceTimeGrid(1, 7, 1.0, 11, 5.0, tail_tol=1e-2).tail_ok
 
     @given(st.integers(5, 80), st.floats(10.0, 40.0))
     @settings(max_examples=25, deadline=None)
     def test_weight_identities_random_meshes(self, nt, T_r):
-        g = build_grid(1, 5, 1.0, nt, T_r)
+        g = SpaceTimeGrid(1, 5, 1.0, nt, T_r)
         assert g.cell_weights.sum() == pytest.approx(1.0 - np.exp(-T_r), rel=1e-12)
         assert np.all(np.diff(g.t) > 0)
 
     def test_2d_weights(self):
-        g = build_grid(2, 5, 1.0, 5, 20.0, ny=7, Ly=2.0)
+        g = SpaceTimeGrid(2, 5, 1.0, 5, 20.0, ny=7, Ly=2.0)
         assert g.space_shape == (7, 9)
         assert g.space_weights.sum() == pytest.approx(2.0, rel=1e-13)
         assert g.volume == 2.0
         assert g.boundary_mask.sum() == 2 * 7 + 2 * 9 - 4
 
     def test_node_weights(self):
-        g = build_grid(2, 5, 1.0, 11, 20.0, ny=7, Ly=2.0)
+        g = SpaceTimeGrid(2, 5, 1.0, 11, 20.0, ny=7, Ly=2.0)
         assert g.node_weights.shape == (11, 7, 9)
         assert g.node_weights.sum() == pytest.approx(
             2.0 * g.cell_weights.sum(), rel=1e-13
@@ -70,11 +65,11 @@ class TestWeights:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            build_grid(3, 7, 1.0, 11, 20.0)
+            SpaceTimeGrid(3, 7, 1.0, 11, 20.0)
         with pytest.raises(ValueError):
-            build_grid(1, 2, 1.0, 11, 20.0)
+            SpaceTimeGrid(1, 2, 1.0, 11, 20.0)
         with pytest.raises(ValueError):
-            build_grid(2, 7, 1.0, 11, 20.0, ny=1, Ly=1.0)
+            SpaceTimeGrid(2, 7, 1.0, 11, 20.0, ny=1, Ly=1.0)
 
 
 class TestOperators:
@@ -94,7 +89,7 @@ class TestOperators:
         np.testing.assert_allclose(gx, 1.0, rtol=1e-12)
 
     def test_2d_gradients_split_axes(self):
-        g = build_grid(2, 4, 1.0, 5, 20.0, ny=4, Ly=1.0)
+        g = SpaceTimeGrid(2, 4, 1.0, 5, 20.0, ny=4, Ly=1.0)
         vals = np.zeros((1, 5) + g.space_shape)
         vals[..., :, :] = 2.0 * g.x[:, None] + 3.0 * g.y[None, :]
         # G's rows: the x-edges, then the y-edges, each C-ordered
@@ -129,8 +124,8 @@ class TestResampleInTime:
 
 
 GRIDS = {
-    "1d": build_grid(1, 9, 1.0, 5, 20.0),
-    "2d": build_grid(2, 5, 1.0, 5, 20.0, ny=8, Ly=1.7),
+    "1d": SpaceTimeGrid(1, 9, 1.0, 5, 20.0),
+    "2d": SpaceTimeGrid(2, 5, 1.0, 5, 20.0, ny=8, Ly=1.7),
 }
 
 
@@ -182,7 +177,7 @@ class TestQuadraticOperator:
                                    atol=1e-14 * abs(Q).max())
 
     def test_kept_for_latest_eps(self):
-        g = build_grid(1, 9, 1.0, 5, 20.0)
+        g = SpaceTimeGrid(1, 9, 1.0, 5, 20.0)
         Q1 = g.quadratic_operator(0.1)
         assert g.quadratic_operator(0.1) is Q1
         Q2 = g.quadratic_operator(0.2)
@@ -195,8 +190,8 @@ class TestFreeBlockInverse:
     the free nodes, against a sparse direct solve of the same block."""
 
     SOLVE_GRIDS = {
-        "1d": build_grid(1, 9, 1.0, 13, 20.0),
-        "2d": build_grid(2, 6, 1.0, 9, 20.0, ny=4, Ly=0.7),
+        "1d": SpaceTimeGrid(1, 9, 1.0, 13, 20.0),
+        "2d": SpaceTimeGrid(2, 6, 1.0, 9, 20.0, ny=4, Ly=0.7),
     }
 
     @staticmethod
@@ -299,13 +294,11 @@ class TestFreeBlockInverse:
         assert inv.quadratic(got) == pytest.approx(q, rel=1e-12)
 
     @pytest.mark.parametrize("sigma", [0.0, 2.5])
-    @pytest.mark.parametrize("mode", BC_MODES)
     @pytest.mark.parametrize("name", ["1d", "2d"])
-    def test_one_slice_default_set(self, name, mode, sigma):
+    def test_one_slice_default_set(self, name, sigma):
         # fields (k, *space), no time axis: the stationary oracle's set
-        # without a support, the interior for every species whatever the
-        # data pin (the inverse reads no data, so ``mode`` plays no part),
-        # where S alone is definite
+        # without a support, the interior for every species, where S alone
+        # is definite
         g = self.SOLVE_GRIDS[name]
         free = np.broadcast_to(~g.boundary_mask, (3,) + g.space_shape)
         inv = FreeBlockInverse(g, 1.0, sigma, free)

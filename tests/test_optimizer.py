@@ -6,11 +6,11 @@ from scipy.sparse.linalg import spsolve
 from wideseg.functional import (
     competitor_field, eval_J_change, eval_J_value, grad_J,
 )
-from wideseg.grid import FreeBlockInverse, StateField, build_grid
+from wideseg.grid import FreeBlockInverse, SpaceTimeGrid, StateField
 from wideseg.model import BoundaryData, SystemSpec, preset_v0
 from wideseg.optimizer import (
     ROUNDOFF_RTOL, InverseMass, OptimizerConfig, _kkt_norm,
-    curvature_estimate, minimize, node_mass, penalty_shift, projected_bb,
+    curvature_bound, minimize, node_mass, penalty_shift, projected_bb,
 )
 
 T_R = 20.0
@@ -18,7 +18,7 @@ WEIGHT_MASS = 1.0 - np.exp(-T_R)
 
 
 def setup(nx=15, nt=31):
-    g = build_grid(1, nx, 1.0, nt, T_R)
+    g = SpaceTimeGrid(1, nx, 1.0, nt, T_R)
     spec = SystemSpec.make(2, [[0, 1], [1, 0]])
     data = BoundaryData.make(
         preset_v0("two_ramp", g.x_field(), 2), "dirichlet_and_initial"
@@ -51,7 +51,7 @@ class TestMinimize:
     def test_single_ramp_value(self):
         # one species pinned 0 -> 1: the time-constant linear ramp is the
         # exact minimizer, J = eps * (1 - e^{-T_r}) (D = 1, no coupling)
-        g = build_grid(1, 15, 1.0, 31, T_R)
+        g = SpaceTimeGrid(1, 15, 1.0, 31, T_R)
         spec = SystemSpec.make(2, [[0, 1], [1, 0]])
         v0 = np.zeros((2, 17))
         v0[0] = g.x
@@ -240,7 +240,8 @@ def inverse_mass_path(g, spec, data, eps, beta, support=None):
     return projected_bb(
         x0, lambda x: eval_J_value(field(x), eps, beta),
         lambda x: grad_J(field(x), eps, beta, data), mass,
-        OptimizerConfig(), curvature_estimate(g, spec, eps, beta),
+        OptimizerConfig(),
+        curvature_bound(g, spec, eps, beta, 8.0 / g.dt**2),
         lambda x, d: eval_J_change(field(x), d, eps, beta),
     )
 
@@ -459,8 +460,8 @@ class TestHelpers:
 
     def test_curvature_increases_with_beta(self):
         g, spec, _ = setup(nx=7, nt=11)
-        l0 = curvature_estimate(g, spec, 0.1, 0.0)
-        l1 = curvature_estimate(g, spec, 0.1, 1000.0)
+        l0 = curvature_bound(g, spec, 0.1, 0.0)
+        l1 = curvature_bound(g, spec, 0.1, 1000.0)
         assert l1 > l0 > 0.0
 
     def test_cold_start_is_competitor(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from wideseg.grid import build_grid, resample_in_time
+from wideseg.grid import SpaceTimeGrid, resample_in_time
 from wideseg.model import BoundaryData, ReactionFamily, SystemSpec, preset_v0
 from wideseg.optimizer import OptimizerConfig
 from wideseg.oracle import (
@@ -14,7 +14,7 @@ T_R = 20.0
 
 
 def setup(nx=15, nt=21):
-    g = build_grid(1, nx, 1.0, nt, T_R)
+    g = SpaceTimeGrid(1, nx, 1.0, nt, T_R)
     spec = SystemSpec.make(2, [[0, 1], [1, 0]])
     data = BoundaryData.make(
         preset_v0("two_ramp", g.x_field(), 2), "dirichlet_and_initial"
@@ -31,7 +31,7 @@ class TestParabolicStepper:
     def test_heat_benchmark_accuracy(self):
         # single decoupled species, no reaction, no penalty: compare the
         # IMEX march against the exact sine-mode decay
-        g = build_grid(1, 63, 1.0, 21, T_R)
+        g = SpaceTimeGrid(1, 63, 1.0, 21, T_R)
         spec = SystemSpec.make(2, [[0, 1], [1, 0]])
         v0 = np.zeros((2, 65))
         v0[0] = np.sin(np.pi * g.x)
@@ -44,7 +44,7 @@ class TestParabolicStepper:
 
     def test_time_refinement_ratio(self):
         # halving the step should shrink the error by about 4 (second order)
-        g = build_grid(1, 63, 1.0, 21, T_R)
+        g = SpaceTimeGrid(1, 63, 1.0, 21, T_R)
         spec = SystemSpec.make(1, [[0.0]])
         v0 = np.sin(np.pi * g.x)[None]
         data = BoundaryData.make(v0, "dirichlet_and_initial")
@@ -59,7 +59,7 @@ class TestParabolicStepper:
 
     def test_superposition_at_zero_beta(self):
         # with beta = 0 and no reaction the components evolve independently
-        g = build_grid(1, 15, 1.0, 11, T_R)
+        g = SpaceTimeGrid(1, 15, 1.0, 11, T_R)
         spec = SystemSpec.make(2, [[0, 1], [1, 0]])
         rng = np.random.default_rng(0)
         v0 = rng.uniform(0, 1, (2, 17))
@@ -75,7 +75,7 @@ class TestParabolicStepper:
             )
 
     def test_penalty_suppresses_overlap(self):
-        g = build_grid(1, 15, 1.0, 11, T_R)
+        g = SpaceTimeGrid(1, 15, 1.0, 11, T_R)
         spec = SystemSpec.make(2, [[0, 1], [1, 0]])
         data = BoundaryData.make(np.full((2, 17), 0.5), "initial_only")
         free = step_parabolic(spec, data, g, 0.0, 1e-3, 200)
@@ -118,8 +118,8 @@ class TestParabolicStepper:
         # data varying in x alone must march as in 1-D, column by column
         cubic = [ReactionFamily("cubic", 1.0)] * 2
         spec = SystemSpec.make(2, [[0, 1], [1, 0]], cubic)
-        g1 = build_grid(1, 15, 1.0, 5, T_R)
-        g2 = build_grid(2, 15, 1.0, 5, T_R, ny=6, Ly=0.7)
+        g1 = SpaceTimeGrid(1, 15, 1.0, 5, T_R)
+        g2 = SpaceTimeGrid(2, 15, 1.0, 5, T_R, ny=6, Ly=0.7)
         runs = [
             step_parabolic(spec, BoundaryData.make(
                 preset_v0("two_ramp", g.x_field(), 2), "initial_only"),
@@ -134,7 +134,7 @@ class TestParabolicStepper:
 class TestElliptic:
     def test_linear_ramp_is_exact_minimizer(self):
         # w = x with zero reaction and penalty: energy 1, no iterations
-        g = build_grid(1, 31, 1.0, 5, T_R)
+        g = SpaceTimeGrid(1, 31, 1.0, 5, T_R)
         spec = SystemSpec.make(1, [[0.0]])
         data = BoundaryData.make(g.x[None].copy(), "dirichlet_only")
         res = minimize_elliptic(spec, data, g, 0.0)
@@ -191,7 +191,7 @@ class TestElliptic:
         # one-slice FreeBlockInverse inverts on its frozen partition
         from wideseg import oracle
 
-        g = build_grid(2, 9, 1.0, 5, T_R, ny=7, Ly=0.8)
+        g = SpaceTimeGrid(2, 9, 1.0, 5, T_R, ny=7, Ly=0.8)
         spec = SystemSpec.make(2, [[0, 1], [1, 0]])
         data = BoundaryData.make(preset_v0("two_ramp", g.x_field(), 2),
                                  "dirichlet_only")
@@ -212,7 +212,7 @@ class TestElliptic:
         assert rep["decay_ratio"] < 0.5
 
     def test_2d_small_run(self):
-        g = build_grid(2, 5, 1.0, 5, T_R, ny=5, Ly=1.0)
+        g = SpaceTimeGrid(2, 5, 1.0, 5, T_R, ny=5, Ly=1.0)
         spec = SystemSpec.make(2, [[0, 1], [1, 0]])
         v0 = np.zeros((2, 7, 7))
         v0[0] = g.x[:, None] * (1 - g.y[None, :])

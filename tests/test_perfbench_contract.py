@@ -19,7 +19,7 @@ import spans  # noqa: E402
 import worker  # noqa: E402
 from wideseg import cli, continuation, optimizer, oracle  # noqa: E402
 from wideseg.continuation import LadderSpec  # noqa: E402
-from wideseg.grid import build_grid  # noqa: E402
+from wideseg.grid import SpaceTimeGrid  # noqa: E402
 from wideseg.model import BoundaryData, SystemSpec, preset_v0  # noqa: E402
 from wideseg.optimizer import OptimizerConfig  # noqa: E402
 
@@ -38,13 +38,20 @@ def test_workload_setup(name, monkeypatch):
     monkeypatch.setattr(worker, "ROOT", REPO)
     rc, grid, data = worker.setup(name, 0)
     assert data.v0.shape == (rc.spec.k,) + grid.space_shape
+    # the grid each workload runs on, whatever the defaults of the classes
+    # a config is read into
+    if name.startswith("ramp1d"):
+        assert (grid.dim, grid.nx, grid.nt, grid.T_r, grid.tail_tol) == (
+            1, 63, 201, 20.0, 1e-8)
+    else:
+        assert (grid.dim, grid.nx, grid.ny, grid.nt) == (2, 15, 15, 101)
 
 
 def test_ladders_are_captured_as_rungs():
     # the untraced benchmark checks its output on the rungs this capture
     # records; a ladder that stops calling minimize / minimize_elliptic
     # through its own module would leave them out
-    grid = build_grid(1, 7, 1.0, 11, 20.0)
+    grid = SpaceTimeGrid(1, 7, 1.0, 11, 20.0)
     spec = SystemSpec.make(2, [[0, 1], [1, 0]])
     v0 = preset_v0("two_ramp", grid.x_field(), 2)
     betas = (10.0, 100.0)
@@ -73,7 +80,7 @@ def test_functional_calls_are_traced():
     # the functional.* layer metrics count the spans of the value and
     # gradient that the descent calls through optimizer.eval_J_value and
     # optimizer.grad_J; calls that bypass those names would read 0
-    grid = build_grid(1, 7, 1.0, 11, 20.0)
+    grid = SpaceTimeGrid(1, 7, 1.0, 11, 20.0)
     spec = SystemSpec.make(2, [[0, 1], [1, 0]])
     data = BoundaryData.make(preset_v0("two_ramp", grid.x_field(), 2))
     tracer = spans.Tracer(full=True)
