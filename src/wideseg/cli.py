@@ -58,34 +58,26 @@ class RunConfig:
     n_x_bumps: int = 5
     n_t_bumps: int = 3
     scales: tuple = (0.12, 0.2)
-    c_w: float = diag.C_W_DEFAULT
     run_oracle: bool = True
     run_elliptic: bool = True
     oracle_dtau: float = 1e-3
-    out_dir: str = "out"
+    dir: str = "out"
     raw: dict = field(default_factory=dict)
-
-
-def _get(cp, sec, key, default, conv):
-    label = f"{sec}.{key}"
-    if not cp.has_option(sec, key):
-        if default is None:
-            raise ConfigError(label, "required field is missing")
-        return default
-    txt = cp.get(sec, key).strip()
-    try:
-        return conv(txt)
-    except ConfigError:
-        raise
-    except Exception:
-        raise ConfigError(label, f"cannot parse value {txt!r}")
 
 
 def _set_keys(cp, sec, **convs) -> dict:
     """The keys of ``sec`` among ``convs`` that the file sets, parsed: the
     class they are passed to holds the default of every other key."""
-    return {key: _get(cp, sec, key, None, conv)
-            for key, conv in convs.items() if cp.has_option(sec, key)}
+    out = {}
+    for key, conv in convs.items():
+        if cp.has_option(sec, key):
+            txt = cp.get(sec, key).strip()
+            try:
+                out[key] = conv(txt)
+            except Exception:
+                raise ConfigError(f"{sec}.{key}",
+                                  f"cannot parse value {txt!r}")
+    return out
 
 
 def _parse_matrix(txt: str) -> np.ndarray:
@@ -119,12 +111,12 @@ def parse_config(path) -> RunConfig:
     if not read:
         raise ConfigError("config", f"cannot read {path}")
 
-    name = _get(cp, "scenario", "name", Path(path).stem, str)
-
-    k = _get(cp, "system", "k", None, int)
-    A = _get(cp, "system", "A", None, _parse_matrix)
-    spec = SystemSpec.make(
-        k, A, **_set_keys(cp, "system", reactions=_parse_reactions))
+    system = _set_keys(cp, "system", k=int, A=_parse_matrix,
+                       reactions=_parse_reactions)
+    for key in ("k", "A"):
+        if key not in system:
+            raise ConfigError(f"system.{key}", "required field is missing")
+    spec = SystemSpec.make(**system)
     for where, msg in validate_system(spec):
         raise ConfigError(f"system.{where}", msg)
 
@@ -143,31 +135,28 @@ def parse_config(path) -> RunConfig:
 
     diagnostics = _set_keys(
         cp, "diagnostics", n_x_bumps=int, n_t_bumps=int, scales=floats,
-        c_w=float, run_oracle=_parse_bool, run_elliptic=_parse_bool,
-        oracle_dtau=float)
-    positive = lambda v: v > 0
+        run_oracle=_parse_bool, run_elliptic=_parse_bool, oracle_dtau=float)
     for key, ok, msg in (
             ("n_x_bumps", lambda v: v >= 1, "must be at least 1"),
             ("n_t_bumps", lambda v: v >= 1, "must be at least 1"),
             ("scales", lambda v: v and min(v) > 0,
              "must list at least one positive scale"),
-            ("c_w", positive, "must be positive"),
-            ("oracle_dtau", positive, "must be positive")):
+            ("oracle_dtau", lambda v: v > 0, "must be positive")):
         if key in diagnostics and not ok(diagnostics[key]):
             raise ConfigError(f"diagnostics.{key}", msg)
     rc = RunConfig(
-        name=name, spec=spec, ladder=ladder, optimizer=opt,
+        spec=spec, ladder=ladder, optimizer=opt,
         grid_kwargs=_set_keys(cp, "grid", dim=int, nx=int, Lx=float, nt=int,
                               T_r=float, ny=int, Ly=float, tail_tol=float),
         raw={s: dict(cp.items(s)) for s in cp.sections()},
+        name=_set_keys(cp, "scenario", name=str).get("name", Path(path).stem),
         **_set_keys(cp, "boundary", preset=str, bc_mode=str), **diagnostics,
+        **_set_keys(cp, "output", dir=str),
     )
     if rc.bc_mode not in BC_MODES:
         raise ConfigError(
             "boundary.bc_mode", f"must be one of {', '.join(BC_MODES)}"
         )
-    if cp.has_option("output", "dir"):
-        rc.out_dir = _get(cp, "output", "dir", None, str)
     return rc
 
 
@@ -253,39 +242,39 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
                 _write_summary(out_dir, summary)
                 return 1, summary
 
-    # level estimate, energy identity, and E/I magnitude bounds per rung
-    level_entries = []
-    energy_rows = []
-    window_rows = []
-    overlap_rows = []
-    win_vals, kin_vals = [], []
+    # level estimate, energy identity, E/I magnitude bounds, uniformity
+    # windows and overlap decay: one pass over the rungs
+    cap_per_eps = (competitor_value(data, grid, spec, 1.0)
+                   + spec.M_bound * grid.volume)
+    level_entries, energy_rows, window_rows, overlap_rows = [], [], [], []
+    bounds_ok = decay_ok = hard_zero = True
     for eps in rc.ladder.epsilons:
         bl = dl.beta_results[eps]
-        Jc = competitor_value(data, grid, spec, eps)
-        top = bl.results[-1]
         level_entries.append({
-            "eps": eps, "J": top.trace.J, "J_competitor": Jc,
+            "eps": eps, "J": bl.results[-1].trace.J,
+            "J_competitor": competitor_value(data, grid, spec, eps),
         })
-        for beta, res in zip(bl.betas, bl.results):
+        cap = eps * cap_per_eps
+        taus_w = np.linspace(0.0, WINDOW_HORIZON * eps, 161)
+        windows = diag.default_windows(eps)
+        for beta, res, bo in zip(bl.betas, bl.results, bl.beta_overlap):
             ei = diag.check_energy_identity(res.trace, res.converged)
-            dt = grid.dt
-            energy_rows.append([
-                eps, beta, res.trace.J, ei["relative_residual"],
-                float(np.max(np.abs(res.trace.E))),
-                float(dt * res.trace.I.sum()),
-            ])
-            taus_w = np.linspace(0.0, WINDOW_HORIZON * eps, 161)
-            vo = to_original_time(res.field, eps, taus_w)
+            e_max = float(np.max(np.abs(res.trace.E)))
+            i_total = float(grid.dt * res.trace.I.sum())
+            energy_rows.append([eps, beta, res.trace.J,
+                                ei["relative_residual"], e_max, i_total])
+            bounds_ok &= (e_max <= cap * 1.02 + 1e-6
+                          and i_total <= 0.5 * cap * 1.02 + 1e-6)
             rep = diag.check_uniform_windows(
-                vo, taus_w, grid, spec, beta, diag.default_windows(eps)
-            )
+                to_original_time(res.field, eps, taus_w), taus_w, grid, spec,
+                beta, windows)
             window_rows.append([
                 eps, beta, rep["windowed_max"], rep["sup_norm"], rep["kinetic"],
             ])
-            win_vals.append(rep["windowed_max"])
-            kin_vals.append(rep["kinetic"])
-        for beta, bo in zip(bl.betas, bl.beta_overlap):
             overlap_rows.append([eps, beta, bo])
+        if bl.beta_overlap[0] > 0:
+            decay_ok &= bl.beta_overlap[-1] <= 1e-2 * bl.beta_overlap[0]
+        hard_zero &= diag.overlap(bl.v_eps)[0] == 0.0
 
     level = diag.check_level_estimate_across_ladder(
         level_entries, spec.M_bound, grid.volume
@@ -300,22 +289,15 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
     max_resid = max(r[3] for r in energy_rows)
     verdicts["energy_identity"] = bool(max_resid <= diag.ENERGY_IDENTITY_TOL)
     summary["energy_identity_max_residual"] = max_resid
+    verdicts["energy_integral_bounds"] = bool(bounds_ok)
     write_csv(out_dir / "energy_rungs.csv",
               ["eps", "beta", "J", "energy_residual", "E_max_abs", "I_total"],
               energy_rows)
 
-    e_ok = i_ok = True
-    cap_per_eps = (competitor_value(data, grid, spec, 1.0)
-                   + spec.M_bound * grid.volume)
-    for row in energy_rows:
-        cap = row[0] * cap_per_eps
-        e_ok &= row[4] <= cap * 1.02 + 1e-6
-        i_ok &= row[5] <= 0.5 * cap * 1.02 + 1e-6
-    verdicts["energy_integral_bounds"] = bool(e_ok and i_ok)
-
-    sup_ok = all(r[3] <= 1.0 for r in window_rows)
-    w_spread = max(win_vals) / max(min(win_vals), 1e-300)
-    k_spread = max(kin_vals) / max(min(kin_vals), 1e-300)
+    _, _, win, sup, kin = zip(*window_rows)
+    spread = lambda col: max(col) / max(min(col), 1e-300)
+    sup_ok = all(s <= 1.0 for s in sup)
+    w_spread, k_spread = spread(win), spread(kin)
     verdicts["uniformity"] = bool(sup_ok and w_spread <= 3.0
                                   and k_spread <= 3.0)
     summary["uniformity"] = {
@@ -325,16 +307,6 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
               ["eps", "beta", "windowed_max", "sup_norm", "kinetic"],
               window_rows)
 
-    # overlap decay in beta, per eps
-    decay_ok = True
-    for eps in rc.ladder.epsilons:
-        bo = dl.beta_results[eps].beta_overlap
-        if bo[0] > 0:
-            decay_ok &= bo[-1] <= 1e-2 * bo[0]
-    hard_zero = all(
-        diag.overlap(dl.beta_results[eps].v_eps)[0] == 0.0
-        for eps in rc.ladder.epsilons
-    )
     verdicts["overlap_decay"] = bool(decay_ok and hard_zero)
     summary["overlap_hard_projected_zero"] = hard_zero
     write_csv(out_dir / "overlap_decay.csv",
@@ -365,7 +337,7 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
     ):
         vo = to_original_time(fld, eps_min, taus)
         rep = diag.check_weak_inequalities(
-            vo, taus, grid, spec, eterm, lat, rc.c_w
+            vo, taus, grid, spec, eterm, lat
         )
         ineq_ok &= rep.passed
         for i in range(spec.k):
@@ -411,7 +383,7 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
         lad = _elliptic_ladder(rc, grid, data_g, out_dir)
         slat = diag.build_lattice(grid, 0.0, 1.0, rc.n_x_bumps, 1, rc.scales)
         srep = diag.check_stationary_inequalities(
-            lad["w_segregated"], grid, spec, slat, rc.c_w
+            lad["w_segregated"], grid, spec, slat
         )
         ell_ok = (
             eq["all_converged"] and lad["all_converged"]
@@ -429,15 +401,14 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
             "energies": [r.energy for r in lad["results"]],
         }
 
-    _write_summary(out_dir, summary)
     failed = [k for k, v in verdicts.items() if not v]
     if failed:
         log(f"failed checks: {', '.join(failed)}")
         summary["failed_stage"] = f"check:{failed[0]}"
-        _write_summary(out_dir, summary)
-        return 1, summary
-    log(f"[{rc.name}] all checks passed")
-    return 0, summary
+    else:
+        log(f"[{rc.name}] all checks passed")
+    _write_summary(out_dir, summary)
+    return (1 if failed else 0), summary
 
 
 def _elliptic_ladder(rc: RunConfig, grid: SpaceTimeGrid,
@@ -468,13 +439,13 @@ def _write_summary(out_dir: Path, summary: dict) -> None:
 def _load_rc(args) -> RunConfig:
     rc = parse_config(args.config)
     if getattr(args, "out", None):
-        rc.out_dir = args.out
+        rc.dir = args.out
     return rc
 
 
 def cmd_run(args) -> int:
     rc = _load_rc(args)
-    code, _ = run_pipeline(rc, Path(rc.out_dir))
+    code, _ = run_pipeline(rc, Path(rc.dir))
     return code
 
 
@@ -482,7 +453,7 @@ def cmd_minimize(args) -> int:
     rc = _load_rc(args)
     grid, data = make_inputs(rc)
     res = minimize(rc.spec, data, grid, args.eps, args.beta, rc.optimizer)
-    out = Path(rc.out_dir)
+    out = Path(rc.dir)
     out.mkdir(parents=True, exist_ok=True)
     write_field_csv(out / "minimizer.csv", res.field.values, grid.t, grid)
     print(f"J = {res.trace.J:.17g}  iters = {res.iters}  "
@@ -501,7 +472,7 @@ def cmd_oracle(args) -> int:
     run = oracle_mod.step_parabolic(
         rc.spec, data, grid, args.beta, dtau, args.steps
     )
-    out = Path(rc.out_dir)
+    out = Path(rc.dir)
     out.mkdir(parents=True, exist_ok=True)
     write_field_csv(out / "parabolic.csv", run.values, run.taus, grid)
     print(f"marched {args.steps} steps to tau = {run.taus[-1]:.17g}")
@@ -511,7 +482,7 @@ def cmd_oracle(args) -> int:
 def cmd_elliptic(args) -> int:
     rc = _load_rc(args)
     grid, data = make_inputs(rc)
-    out = Path(rc.out_dir)
+    out = Path(rc.dir)
     out.mkdir(parents=True, exist_ok=True)
     lad = _elliptic_ladder(rc, grid,
                            BoundaryData.make(data.v0, "dirichlet_only"), out)

@@ -20,7 +20,7 @@ from .model import SystemSpec
 
 #: mesh-error prefactor of the weak-inequality tolerance; calibrated once
 #: against the exact k=1 heat benchmark and frozen
-C_W_DEFAULT = 0.5
+C_W = 0.5
 
 #: relative residual threshold for the energy identity at minimizers
 ENERGY_IDENTITY_TOL = 5e-2
@@ -108,8 +108,7 @@ class TestFunctionLattice:
 
 
 def build_lattice(grid: SpaceTimeGrid, t_lo: float, t_hi: float,
-                  n_x: int = 5, n_t: int = 3,
-                  scales=(0.12, 0.2)) -> TestFunctionLattice:
+                  n_x: int, n_t: int, scales) -> TestFunctionLattice:
     """Bump centers on a regular interior lattice, n_x per spatial axis and
     n_t in time, for each scale.
 
@@ -182,18 +181,16 @@ def _pairings(dvdt, grads, forces, taus, grid: SpaceTimeGrid,
     return T1 + T2 + T3 + T4
 
 
-def weak_tolerance(bump: Bump, grid: SpaceTimeGrid, dtau: float,
-                   c_w: float = C_W_DEFAULT) -> float:
+def weak_tolerance(bump: Bump, grid: SpaceTimeGrid, dtau: float) -> float:
     # spacings in the order of the bump's radii: x, t, then y
     spacings = [h for _, h in grid.axes]
     spacings.insert(1, dtau)
-    return c_w * sum(spacings) * bump.c1_norm * bump.support_measure
+    return C_W * sum(spacings) * bump.c1_norm * bump.support_measure
 
 
 def check_weak_inequalities(vals: np.ndarray, taus: np.ndarray,
                             grid: SpaceTimeGrid, spec: SystemSpec,
                             eps_term: float, lattice: TestFunctionLattice,
-                            c_w: float = C_W_DEFAULT,
                             tol_dtau: float | None = None) -> InequalityReport:
     """Sub-solution and hatted super-solution pairings on a bump lattice.
 
@@ -207,7 +204,7 @@ def check_weak_inequalities(vals: np.ndarray, taus: np.ndarray,
     n_b = len(lattice.bumps)
     dtau_mean = float(np.mean(np.diff(taus))) if tol_dtau is None else tol_dtau
     tol = np.array([
-        weak_tolerance(b, grid, dtau_mean, c_w) for b in lattice.bumps
+        weak_tolerance(b, grid, dtau_mean) for b in lattice.bumps
     ])
 
     # the k fields, then their k hatted fields v_i - sum_{j != i} v_j
@@ -233,10 +230,9 @@ def check_weak_inequalities(vals: np.ndarray, taus: np.ndarray,
     )
 
 
-def check_stationary_inequalities(w_vals: np.ndarray, grid: SpaceTimeGrid,
-                                  spec: SystemSpec,
-                                  lattice: TestFunctionLattice,
-                                  c_w: float = C_W_DEFAULT) -> InequalityReport:
+def check_stationary_inequalities(
+        w_vals: np.ndarray, grid: SpaceTimeGrid, spec: SystemSpec,
+        lattice: TestFunctionLattice) -> InequalityReport:
     """Time-independent specialization of the weak inequalities.
 
     Wraps the space-time check with a short constant-in-time extension of
@@ -255,7 +251,7 @@ def check_stationary_inequalities(w_vals: np.ndarray, grid: SpaceTimeGrid,
         if not (0.0 < b.tc - b.rt and b.tc + b.rt < 1.0):
             raise ValueError("stationary lattice bumps must live inside (0,1)")
     return check_weak_inequalities(
-        vals, taus, grid, spec, eps_term=0.0, lattice=lattice, c_w=c_w,
+        vals, taus, grid, spec, eps_term=0.0, lattice=lattice,
         tol_dtau=0.0,
     )
 

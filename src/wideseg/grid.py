@@ -424,11 +424,7 @@ def cell_gradient(grid: SpaceTimeGrid) -> tuple:
 
 def impose_pins(values: np.ndarray, grid: SpaceTimeGrid, data: BoundaryData) -> None:
     """Overwrite pinned nodes (initial slice / lateral trace) in place."""
-    if data.pins_initial:
-        values[:, 0] = data.v0
-    if data.pins_dirichlet:
-        g0 = data.v0[:, grid.boundary_mask]  # (k, nb)
-        values[:, :, grid.boundary_mask] = g0[:, None, :]
+    np.copyto(values, data.v0[:, None], where=grid.pinned(data))
 
 
 def free_mask(grid: SpaceTimeGrid, data: BoundaryData) -> np.ndarray:

@@ -1,9 +1,11 @@
+import configparser
 import json
 import re
 from pathlib import Path
 
 import pytest
 
+import wideseg
 from wideseg.cli import (
     ConfigError, RunConfig, main, make_inputs, parse_config,
 )
@@ -49,6 +51,9 @@ oracle_dtau = 1e-3
 """
 
 
+SCENARIOS = Path(wideseg.__file__).parent / "scenarios"
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -69,7 +74,7 @@ class TestParseConfig:
         rc = parse_config(write_cfg(tmp_path, sparse))
         assert all(r.kind == "zero" for r in rc.spec.reactions)
         assert rc.optimizer == OptimizerConfig(max_iters=1500, grad_tol=1e-5)
-        assert (rc.n_x_bumps, rc.scales, rc.run_elliptic, rc.out_dir) == (
+        assert (rc.n_x_bumps, rc.scales, rc.run_elliptic, rc.dir) == (
             5, (0.12, 0.2), True, "out")
 
     @pytest.mark.parametrize("edit, left_out", [
@@ -120,6 +125,32 @@ class TestParseConfig:
         with pytest.raises(ConfigError) as ei:
             parse_config(write_cfg(tmp_path, bad))
         assert ei.value.field_name == "ladder"
+
+    def test_scenario_keys_are_all_read(self, tmp_path, monkeypatch):
+        # no key of a shipped scenario is parsed and then ignored: each is
+        # fetched with ConfigParser.get.  The echo of every section into
+        # summary.json reads each value again with raw=True, which is not
+        # counted; an extra key shows that the spy counts only the keys
+        # parse_config asks for
+        real_get = configparser.ConfigParser.get
+        read = set()
+
+        def spy(self, section, option, **kwargs):
+            if not kwargs.get("raw"):
+                read.add((section, option.lower()))
+            return real_get(self, section, option, **kwargs)
+
+        monkeypatch.setattr(configparser.ConfigParser, "get", spy)
+        for path in SCENARIOS.glob("*.cfg"):
+            cfg = write_cfg(tmp_path,
+                            path.read_text() + "\n[extra]\nunread = 1\n")
+            read.clear()
+            parse_config(cfg)
+            cp = configparser.ConfigParser()
+            cp.read(path)
+            keys = {(sec, key) for sec in cp.sections() for key in cp[sec]}
+            assert keys - read == set(), path.name
+            assert ("extra", "unread") not in read
 
     def test_bad_bc_mode(self, tmp_path):
         bad = BASE_CFG.replace(
@@ -227,9 +258,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [
         ("oracle_dtau", "0"), ("oracle_dtau", "-0.01"), ("n_x_bumps", "0"),
         ("n_t_bumps", "0"), ("scales", ""), ("scales", "-0.1"),
-        ("c_w", "-1"),
     ], ids=["oracle_dtau=0", "oracle_dtau<0", "n_x_bumps=0", "n_t_bumps=0",
-            "scales=empty", "scales<0", "c_w<0"])
+            "scales=empty", "scales<0"])
     def test_bad_diagnostics_value_is_2_before_any_solve(
             self, tmp_path, capsys, monkeypatch, key, value):
         # each of these used to die after the ladder, or to fail the
@@ -305,6 +335,20 @@ class TestSubcommands:
             assert code == 0
             printed = capsys.readouterr().out.split("tau = ")[1]
             assert float(printed) == pytest.approx(tau, rel=1e-15)
+
+    def test_output_dir_from_config_unless_out_given(self, tmp_path):
+        # [output] dir is where a subcommand writes; --out overrides it
+        from_cfg = tmp_path / "from_cfg"
+        cfg = BASE_CFG + f"\n[output]\ndir = {from_cfg}\n"
+        flags = ("--beta", "10", "--steps", "1")
+        assert main(["oracle", "--config", str(write_cfg(tmp_path, cfg)),
+                     *flags]) == 0
+        assert (from_cfg / "parabolic.csv").exists()
+        (from_cfg / "parabolic.csv").unlink()
+        code, out = self.run(tmp_path, "oracle", *flags, cfg=cfg)
+        assert code == 0
+        assert (out / "parabolic.csv").exists()
+        assert not (from_cfg / "parabolic.csv").exists()
 
     def test_elliptic_writes_ladder_csv(self, tmp_path):
         code, out = self.run(tmp_path, "elliptic")

@@ -108,7 +108,7 @@ class TestBumpLattice:
 class TestWeakInequalities:
     def test_heat_flow_calibration(self):
         # exact single-species heat evolution saturates well below the mesh
-        # tolerance; this benchmark froze the c_w prefactor
+        # tolerance; this benchmark froze the C_W prefactor
         g, spec, data = setup(nx=31, nt=21)
         run = step_parabolic(spec, data, g, 0.0, 1e-3, 2000)
         lat = build_lattice(g, 0.0, 2.0, n_x=5, n_t=3, scales=(0.12, 0.2))
@@ -126,7 +126,7 @@ class TestWeakInequalities:
         taus = np.linspace(0.0, 2.0, 21)
         for name, g in WEAK_GRIDS.items():
             vals = np.ones((1, 21) + g.space_shape)
-            lat = build_lattice(g, 0.0, 2.0)
+            lat = build_lattice(g, 0.0, 2.0, n_x=5, n_t=3, scales=(0.12, 0.2))
             rep = check_weak_inequalities(vals, taus, g, spec, 0.0, lat)
             assert rep.A.shape == (1, len(lat.bumps)), name
             np.testing.assert_allclose(rep.A, 0.0, atol=1e-14, err_msg=name)
