@@ -508,8 +508,9 @@ def cmd_check(args) -> int:
 def cmd_report(args) -> int:
     adir = Path(args.artifacts)
     expected = [
-        "level_table.csv", "overlap_decay.csv", "cauchy.csv",
-        "inequality_residuals.csv", "uniform_windows.csv",
+        "level_table.csv", "energy_rungs.csv", "overlap_decay.csv",
+        "cauchy.csv", "inequality_residuals.csv", "uniform_windows.csv",
+        "oracle_discrepancy.csv", "elliptic_ladder.csv",
     ]
     missing = [f for f in expected if not (adir / f).exists()]
     present = [f for f in expected if (adir / f).exists()]

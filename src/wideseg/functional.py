@@ -21,7 +21,8 @@ the reaction and penalty terms are pointwise with the node weights.  The
 gradient and the step change read Q; the values keep the per-cell
 stencils, ``eval_J`` because ``EnergyTrace`` needs I per cell and R per
 slice, ``eval_J_value`` for its round-off.  ``form_change`` is the step
-change of J and, with Q = 2S and the spatial weights, of one slice's.
+change of J and, with the grid's ``slice_operator(1)`` (2S) and the
+spatial weights, of one slice's.
 """
 
 from __future__ import annotations

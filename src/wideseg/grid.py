@@ -49,10 +49,12 @@ class SpaceTimeGrid:
     boundary_mask: np.ndarray = field(init=False)
     tail_mass: float = field(init=False)
     tail_ok: bool = field(init=False)
-    # (eps, Q) of the latest quadratic_operator call; pinned masks by mode;
-    # free spatial modes by the bytes of their spatial set
+    # (eps, Q) of the latest quadratic_operator and slice_operator calls;
+    # pinned masks by mode; per-axis modes by axis and the bytes of their set
     _quadratic: tuple = field(init=False, default=None, repr=False,
                               compare=False)
+    _slice: tuple = field(init=False, default=None, repr=False,
+                          compare=False)
     _pinned: dict = field(init=False, default_factory=dict, repr=False,
                           compare=False)
     _modes: dict = field(init=False, default_factory=dict, repr=False,
@@ -140,8 +142,9 @@ class SpaceTimeGrid:
             # form took its cross-axis weights from the boundary row of the
             # trapezoid weights, so it is half of int |grad u|^2 (ROADMAP 6).
             # This is the only site of the half: the value, the gradient,
-            # the space-time operator Q, the uniformity windows and the
-            # weak-inequality pairings all read W from here
+            # the space-time operator Q, the per-axis stiffness of the
+            # spatial modes, the uniformity windows and the weak-inequality
+            # pairings all read W from here
             W = 0.5 * W
         return G, W
 
@@ -151,6 +154,34 @@ class SpaceTimeGrid:
         spatial factor of the Dirichlet form, u^T S u = sum_e W_e (G u)_e^2."""
         G, W = self.dirichlet_operator
         return G.T @ sp.diags_array(W) @ G
+
+    @cached_property
+    def axis_stiffness(self) -> list:
+        """Sparse tridiagonal K_a of each spatial axis whose Kronecker sum
+        over the spatial weights is the ``dirichlet_stiffness``: S itself
+        in 1-D, S = K_x (x) M_y + M_x (x) K_y in 2-D, M_a the trapezoid
+        weights of axis a.  K_a = D_a^T diag(w_a) D_a, D_a the forward
+        difference along a and w_a the ``dirichlet_operator`` weights of
+        the edges along a through the first interior node of the other
+        axes over that node's weight, so the scale of W carries over."""
+        if self.dim == 1:
+            return [self.dirichlet_stiffness]
+        _, W = self.dirichlet_operator
+        sizes = [n for n, _ in self.axes]
+        out, start = [], 0
+        for a, (n, h) in enumerate(self.axes):
+            shape = sizes.copy()
+            shape[a] = n - 1
+            edges = W[start:start + math.prod(shape)].reshape(shape)
+            start += edges.size
+            line = tuple(slice(None) if b == a else 1
+                         for b in range(self.dim))
+            node = math.prod(hb for b, (_, hb) in enumerate(self.axes)
+                             if b != a)
+            D = sp.diags_array([-1.0 / h, 1.0 / h], offsets=[0, 1],
+                               shape=(n - 1, n))
+            out.append(D.T @ sp.diags_array(edges[line] / node) @ D)
+        return out
 
     @cached_property
     def time_stiffness(self) -> tuple:
@@ -186,6 +217,15 @@ class SpaceTimeGrid:
             self._quadratic = (eps, Q.tocsr())
         return self._quadratic[1]
 
+    def slice_operator(self, eps: float):
+        """Sparse 2 eps S, the one-slice case of ``quadratic_operator``
+        (no time axis: K_t = 0, C_t = 1), S the ``dirichlet_stiffness``:
+        sum_i 1/2 w_i^T (2 eps S) w_i is eps times the Dirichlet term of a
+        spatial field w (k, *space).  Kept for the latest eps only."""
+        if self._slice is None or self._slice[0] != eps:
+            self._slice = (eps, 2.0 * eps * self.dirichlet_stiffness)
+        return self._slice[1]
+
     def pinned(self, data: BoundaryData) -> np.ndarray:
         """Read-only (nt, *space) mask of the nodes ``data`` pins, the
         complement of ``free_mask``; cached per pinning mode."""
@@ -196,31 +236,41 @@ class SpaceTimeGrid:
             self._pinned[key] = mask
         return self._pinned[key]
 
-    def free_modes(self, f: np.ndarray) -> tuple:
-        """(V, lam) with S_f V_f = M_f V_f diag(lam) and V_f^T M_f V_f = I,
-        for S the ``dirichlet_stiffness`` and M the spatial weights,
-        restricted to the spatial set f (a boolean mask of the spatial
-        nodes, any shape).  V is V_f padded with zero rows outside f, shape
-        (n_space, |f|).  Dense ``eigh`` of M_f^-1/2 S_f M_f^-1/2.
+    def free_modes(self, f: np.ndarray) -> list:
+        """The modes of S_f V_f = M_f V_f diag(lam), V_f^T M_f V_f = I, for
+        S the ``dirichlet_stiffness`` and M the spatial weights restricted
+        to the spatial set f (a boolean mask of the spatial nodes, any
+        shape), as a list of factors (V_a, lam_a), one per axis when f is a
+        box (the outer product of its projections on the axes).  There S_f
+        is the Kronecker sum of the ``axis_stiffness`` restricted to each
+        projection, so the modes are V_x (x) V_y with lam the sums
+        lam_x + lam_y, C-ordered.  Any other set has one factor over the
+        raveled nodes, from ``_spatial_modes``; a 1-D set is a box of one.
 
-        Cached by the bytes of f, so ask only for sets that recur (a set
-        every species shares): a refine's partition would hold its modes.
+        Factors are cached per axis and set on it, so the modes of a box
+        take O(nx^2 + ny^2) memory; another set's are computed on every
+        call.
         """
-        f = np.ravel(f)
-        key = f.tobytes()
-        if key not in self._modes:
-            self._modes[key] = self._spatial_modes(f)
-        return self._modes[key]
+        f = np.reshape(f, self.space_shape)
+        sides = [f.any(axis=tuple(b for b in range(self.dim) if b != a))
+                 for a in range(self.dim)]
+        if not np.array_equal(f, reduce(np.multiply.outer, sides)):
+            return [self._spatial_modes(f.ravel())]
+        factors = []
+        for a, side in enumerate(sides):
+            key = (a, side.tobytes())
+            if key not in self._modes:
+                self._modes[key] = _weighted_modes(
+                    self.axis_stiffness[a],
+                    _trapezoid_weights(*self.axes[a]), side)
+            factors.append(self._modes[key])
+        return factors
 
     def _spatial_modes(self, free: np.ndarray) -> tuple:
-        """(V, lam) of ``free_modes`` for one raveled spatial set, uncached."""
-        S = self.dirichlet_stiffness.toarray()[np.ix_(free, free)]
-        h = 1.0 / np.sqrt(self.space_weights.ravel()[free])
-        lam, U = np.linalg.eigh(h[:, None] * S * h)
-        V = np.zeros((len(free), len(lam)))
-        V[free] = h[:, None] * U
-        # S_f is semidefinite: a rounded eigenvalue below 0 means 0
-        return V, np.maximum(lam, 0.0)
+        """(V, lam) of one raveled spatial set, uncached: the dense modes
+        of S_f and M_f on the whole set."""
+        return _weighted_modes(self.dirichlet_stiffness,
+                               self.space_weights.ravel(), free)
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """G u on the trailing axes: (*lead, *space) -> (*lead, n_edges)."""
@@ -272,7 +322,8 @@ class FreeBlockInverse:
         P = 2 [K_f (x) M_f + C_f (x) (eps S_f + sigma M_f)].
 
     A (k, *space) mask (``free.ndim == grid.dim + 1``) is the one-slice
-    case: K = 0, C = 1, P = 2 (eps S_f + sigma M_f), M_f the weights.
+    case: K = 0, C = 1, P = 2 (eps S_f + sigma M_f), M_f the weights, and
+    Q the ``slice_operator(eps)``.
 
     In the spatial modes V of ``free_modes`` this is one tridiagonal matrix
     in time per mode, 2 [K_f + (eps lam_m + sigma) C_f]: the fast
@@ -280,16 +331,18 @@ class FreeBlockInverse:
     They are factored once, as one block tridiagonal system in mode-major
     order (LAPACK ``dpttrf``; each is symmetric positive definite), the
     modes separated by zero off-diagonals.  A set that every species shares
-    is factored once and solved with one right-hand side per species;
-    otherwise each species' modes are padded to one count and stacked,
-    species after species, into one system with one right-hand side.
+    is factored once and solved with one right-hand side per species, and
+    its modes are a product of per-axis factors when it is a box, applied
+    to each time slice one axis at a time; otherwise each species' dense
+    modes are padded to one count and stacked, species after species, into
+    one factor and one system with one right-hand side.
     """
 
     def __init__(self, grid: SpaceTimeGrid, eps: float, sigma: float,
                  free: np.ndarray):
         if free.ndim == grid.dim + 1:
             k_diag, k_off, c = np.zeros(1), np.zeros(0), np.ones(1)
-            self._Q = 2.0 * eps * grid.dirichlet_stiffness
+            self._Q = grid.slice_operator(eps)
             self._mass = grid.space_weights.ravel()
         else:
             (k_diag, k_off), c = grid.time_stiffness, grid.node_time_weights
@@ -299,7 +352,7 @@ class FreeBlockInverse:
         rows = F[:, t0]
         self.sigma, self.t0, self._nt = sigma, t0, len(c)
         if (rows == rows[0]).all():
-            V, lam = grid.free_modes(rows[0])
+            factors = grid.free_modes(rows[0])
             self._columns = len(rows)
         else:
             # each species' modes, padded to the most any species has with
@@ -311,9 +364,11 @@ class FreeBlockInverse:
             for i, (V_i, lam_i) in enumerate(modes):
                 V[i, :, :len(lam_i)] = V_i
                 lam[i, :len(lam_i)] = lam_i
-            lam = lam.ravel()
+            factors = [(V, lam)]
             self._columns = 1
-        self._Vt = np.swapaxes(V, -1, -2)
+        self._Vt = [np.swapaxes(V, -1, -2) for V, _ in factors]
+        self._shape = tuple(Vt.shape[-1] for Vt in self._Vt)
+        lam = reduce(np.add.outer, [lam for _, lam in factors]).ravel()
         # K_t restricted to t >= t0
         diag = 2.0 * (k_diag[t0:] + (eps * lam[:, None] + sigma) * c[t0:])
         off = np.zeros(diag.shape)
@@ -323,22 +378,36 @@ class FreeBlockInverse:
             raise np.linalg.LinAlgError(f"dpttrf failed with info {info}")
         # modal coefficients, mode-major: (k, modes, nt - t0); read as a
         # Fortran array it is the right-hand side with ``_columns`` columns
-        self._b = np.empty((len(rows), V.shape[-1], len(c) - t0))
+        self._b = np.empty((len(rows), math.prod(
+            Vt.shape[-2] for Vt in self._Vt), len(c) - t0))
 
     def solve(self, r: np.ndarray, out: np.ndarray | None = None):
         """P^-1 r on the free set and 0 elsewhere, for r in the shape of
         the mask; ``out``, when given, must be C-contiguous."""
         k, nt, t0 = len(r), self._nt, self.t0
-        Vt = self._Vt
         if out is None:
             out = np.empty(r.shape)
-        R = np.reshape(r, (k, nt, -1))[:, t0:]
-        B = np.matmul(Vt, R.transpose(0, 2, 1), out=self._b)
-        X, _ = dpttrs(self._d, self._e, B.reshape(self._columns, -1).T,
+        # to the modes, one factor at a time from the last: each product
+        # contracts the trailing spatial axis and puts its modes first, so
+        # the first factor's leaves the coefficients mode-major, time last
+        Z = np.reshape(r, (k, nt, -1))[:, t0:]
+        for a in reversed(range(len(self._Vt))):
+            Vt = self._Vt[a]
+            Z = np.matmul(
+                Vt, Z.reshape(k, -1, Vt.shape[-1]).transpose(0, 2, 1),
+                out=None if a else self._b.reshape(k, Vt.shape[-2], -1))
+        X, _ = dpttrs(self._d, self._e, self._b.reshape(self._columns, -1).T,
                       overwrite_b=True)
-        X = X.T.reshape(B.shape).transpose(0, 2, 1)
-        O = out.reshape(k, nt, -1)
-        np.matmul(X, Vt, out=O[:, t0:])
+        # and back, the first factor first, the last one into ``out``
+        Z = X.T
+        *head, last = self._Vt
+        for Vt in head:
+            Z = np.matmul(Z.reshape(k, Vt.shape[-2], -1).transpose(0, 2, 1),
+                          Vt)
+        O = out.reshape((k, nt) + self._shape)
+        Z = Z.reshape(k, last.shape[-2], -1).transpose(0, 2, 1)
+        np.matmul(Z.reshape(O[:, t0:].shape[:-1] + (-1,)), last,
+                  out=O[:, t0:])
         O[:, :t0] = 0.0
         return out
 
@@ -393,6 +462,21 @@ def resample_in_time(times: np.ndarray, values: np.ndarray,
     span = (query - times[lo]).reshape((-1,) + (1,) * (values.ndim - 2))
     width = (times[hi] - times[lo]).reshape(span.shape)
     return (y_hi - y_lo) / width * span + y_lo
+
+
+def _weighted_modes(K, m: np.ndarray, free: np.ndarray) -> tuple:
+    """(V, lam) with K_f V_f = M_f V_f diag(lam) and V_f^T M_f V_f = I, for
+    the sparse semidefinite K and the weights m, M = diag(m), restricted to
+    the boolean set ``free`` of their nodes.  V is V_f padded with zero
+    rows outside ``free``, shape (len(free), |free|).  Dense ``eigh`` of
+    M_f^-1/2 K_f M_f^-1/2."""
+    S = K.toarray()[np.ix_(free, free)]
+    h = 1.0 / np.sqrt(m[free])
+    lam, U = np.linalg.eigh(h[:, None] * S * h)
+    V = np.zeros((len(free), len(lam)))
+    V[free] = h[:, None] * U
+    # K_f is semidefinite: a rounded eigenvalue below 0 means 0
+    return V, np.maximum(lam, 0.0)
 
 
 def _trapezoid_weights(n: int, h: float) -> np.ndarray:

@@ -190,8 +190,7 @@ def minimize_elliptic(spec: SystemSpec, data: BoundaryData,
         return elliptic_energy(w, grid, spec, beta)
 
     def change_fn(w, d):
-        # the one-slice Q of ``FreeBlockInverse`` at eps = 1
-        return form_change(w, d, 2.0 * grid.dirichlet_stiffness,
+        return form_change(w, d, grid.slice_operator(1.0),
                            grid.space_weights, spec, 1.0, beta)
 
     def grad_fn(w):

@@ -403,11 +403,29 @@ class TestPipeline:
         assert ("FAIL" in txt) == (check_code == 1)
         assert (check_code == 0) == (code == 0)
 
-    def test_report_subcommand(self, run_dir, capsys):
-        _, out = run_dir
+    def test_report_subcommand(self, tmp_path, capsys):
+        # every table ``run`` writes, the oracle's and the stationary
+        # ladder's included, is printed under its name, header first
+        cfg = BASE_CFG.replace("run_oracle = false", "run_oracle = true")
+        cfg = cfg.replace("run_elliptic = false", "run_elliptic = true")
+        out = tmp_path / "out"
+        main(["run", "--config", str(write_cfg(tmp_path, cfg)),
+              "--out", str(out)])
+        capsys.readouterr()
         assert main(["report", "--artifacts", str(out)]) == 0
         txt = capsys.readouterr().out
-        assert "level_table.csv" in txt
+        assert "absent" not in txt
+        tables = sorted(f.name for f in out.glob("*.csv")
+                        if f.name != "w_field.csv")
+        assert tables == sorted([
+            "level_table.csv", "energy_rungs.csv", "overlap_decay.csv",
+            "cauchy.csv", "inequality_residuals.csv",
+            "uniform_windows.csv", "oracle_discrepancy.csv",
+            "elliptic_ladder.csv"])
+        for name in tables:
+            block = txt.split(f"== {name} ==\n")[1]
+            header = (out / name).read_text().splitlines()[0].split(",")
+            assert block.splitlines()[0].split() == header, name
 
     def test_report_prints_cauchy_tol_under_cauchy_table(self, run_dir,
                                                          capsys):

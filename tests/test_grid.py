@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -317,6 +319,63 @@ class TestFreeBlockInverse:
         free &= ~g.boundary_mask
         inv = FreeBlockInverse(g, 1.0, sigma, free)
         self.check_one_slice(g, inv, sigma, free, 9)
+
+    def test_one_slice_shared_set_that_is_not_a_box(self):
+        # an L-shaped interior set shared by every species: its modes are
+        # the one dense factor over the raveled nodes
+        g = self.SOLVE_GRIDS["2d"]
+        L = ~g.boundary_mask
+        L[3:, 3:] = False
+        assert len(g.free_modes(L)) == 1
+        assert len(g.free_modes(~g.boundary_mask)) == 2
+        free = np.broadcast_to(L, (3,) + g.space_shape)
+        inv = FreeBlockInverse(g, 1.0, 2.5, free)
+        self.check_one_slice(g, inv, 2.5, free, 10)
+
+
+class TestPerAxisModes:
+    """On a box set in 2-D the spatial modes are per-axis factors whose
+    eigenvalues sum; they must be the dense modes of the same set, with
+    the same scale of the Dirichlet form."""
+
+    GRID = SpaceTimeGrid(2, 7, 1.3, 9, 20.0, ny=5, Ly=0.6)
+
+    @pytest.mark.parametrize("interior", [True, False])
+    def test_eigenvalues_and_solve_equal_dense(self, interior, monkeypatch):
+        g = self.GRID
+        f = ~g.boundary_mask if interior else np.ones(g.space_shape, bool)
+        factors = g.free_modes(f)
+        assert [len(lam) for _, lam in factors] == (
+            [7, 5] if interior else [9, 7])
+        lam = np.sort(np.add.outer(*[lam for _, lam in factors]).ravel())
+        V, dense = g._spatial_modes(f.ravel())
+        # relative to the largest: the all-nodes set has lam = 0
+        assert np.max(np.abs(lam - dense)) <= 1e-12 * dense.max()
+        # the same solve with the dense modes as its one factor
+        data = BoundaryData.make(np.zeros((2,) + g.space_shape),
+                                 "dirichlet_and_initial" if interior
+                                 else "initial_only")
+        free = np.broadcast_to(free_mask(g, data), (2, g.nt) + g.space_shape)
+        r = np.random.default_rng(11).normal(size=free.shape)
+        got = FreeBlockInverse(g, 0.1, 2.5, free).solve(r)
+        monkeypatch.setattr(g, "free_modes", lambda f: [(V, dense)])
+        want = FreeBlockInverse(g, 0.1, 2.5, free).solve(r)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    def test_no_dense_spatial_matrix_on_a_box(self):
+        # a dense matrix of the grid's 33 x 33 spatial nodes takes 9.5 MB
+        g = SpaceTimeGrid(2, 31, 1.0, 3, 20.0, ny=31, Ly=1.0)
+        data = BoundaryData.make(np.zeros((2,) + g.space_shape),
+                                 "dirichlet_and_initial")
+        free = np.broadcast_to(free_mask(g, data), (2, g.nt) + g.space_shape)
+        r = np.ones(free.shape)
+        tracemalloc.start()
+        try:
+            FreeBlockInverse(g, 0.2, 1.0, free).solve(r)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5e6
 
 
 class TestConstraints:
