@@ -18,11 +18,11 @@ the grid's ``dirichlet_stiffness`` G^T W G.
 Summed over cells, the kinetic and Dirichlet terms are the fixed quadratic
 form sum_i 1/2 u_i^T Q u_i of the grid's ``quadratic_operator(eps)``, and
 the reaction and penalty terms are pointwise with the node weights.  The
-gradient and the step change read Q; the values keep the per-cell
-stencils, ``eval_J`` because ``EnergyTrace`` needs I per cell and R per
-slice, ``eval_J_value`` for its round-off.  ``form_change`` is the step
-change of J and, with the grid's ``slice_operator(1)`` (2S) and the
-spatial weights, of one slice's.
+gradient and the step change read Q; the value, ``eval_J``, keeps the
+per-cell stencils, for its round-off and because ``EnergyTrace`` needs I
+per cell and R per slice.  ``form_change`` is the step change of J and,
+with the grid's ``slice_operator(1)`` (2S) and the spatial weights, of
+one slice's.
 """
 
 from __future__ import annotations
@@ -87,14 +87,20 @@ def _kinetic_cells(field: StateField) -> np.ndarray:
 
 
 def eval_J(field: StateField, eps: float, beta: float) -> EnergyTrace:
-    """Evaluate the discrete functional and its slice decomposition."""
+    """Evaluate the discrete functional and its slice decomposition.
+
+    Sums the per-cell squares of the stencils rather than 1/2 u.Qu: on a
+    smooth field the terms of Q u cancel, and a difference of two values of
+    1/2 u.Qu is then off by up to about 1.4e-14 |J| on the desk ladders,
+    more than ``optimizer.ROUNDOFF_RTOL`` allows.  It would be no faster.
+    """
     g = field.grid
     Rslice = slice_potential(field, eps, beta)
     R = 0.5 * (Rslice[:-1] + Rslice[1:])
     I = _kinetic_cells(field)
-    w = g.cell_weights
-    cell = w * (I + R)
-    J = float(cell.sum())
+    cell = I + R
+    J = float(np.dot(g.cell_weights, cell))
+    cell *= g.cell_weights
     E = np.zeros(g.nt)
     E[:-1] = np.exp(g.t[:-1]) * np.cumsum(cell[::-1])[::-1]
     return EnergyTrace(t=g.t, I=I, R=R, E=E, J=J)
@@ -109,18 +115,8 @@ def _apply_quadratic(u: np.ndarray, Q) -> np.ndarray:
 
 
 def eval_J_value(field: StateField, eps: float, beta: float) -> float:
-    """Functional value only (cheaper path for line searches).
-
-    Sums the per-cell squares of the stencils rather than 1/2 u.Qu: on a
-    smooth field the terms of Q u cancel, and a difference of two values of
-    1/2 u.Qu is then off by up to about 1.4e-14 |J| on the desk ladders,
-    more than ``optimizer.ROUNDOFF_RTOL`` allows.  It would be no faster.
-    """
-    g = field.grid
-    Rslice = slice_potential(field, eps, beta)
-    R = 0.5 * (Rslice[:-1] + Rslice[1:])
-    I = _kinetic_cells(field)
-    return float(np.dot(g.cell_weights, I + R))
+    """The functional value alone, ``eval_J``'s J."""
+    return eval_J(field, eps, beta).J
 
 
 def _penalty_change(u: np.ndarray, d: np.ndarray, p: np.ndarray,

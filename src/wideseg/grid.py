@@ -50,7 +50,7 @@ class SpaceTimeGrid:
     tail_mass: float = field(init=False)
     tail_ok: bool = field(init=False)
     # (eps, Q) of the latest quadratic_operator and slice_operator calls;
-    # pinned masks by mode; per-axis modes by axis and the bytes of their set
+    # pinned masks by mode; per-axis modes by axis and the bytes of a side
     _quadratic: tuple = field(init=False, default=None, repr=False,
                               compare=False)
     _slice: tuple = field(init=False, default=None, repr=False,
@@ -236,41 +236,48 @@ class SpaceTimeGrid:
             self._pinned[key] = mask
         return self._pinned[key]
 
-    def free_modes(self, f: np.ndarray) -> list:
-        """The modes of S_f V_f = M_f V_f diag(lam), V_f^T M_f V_f = I, for
-        S the ``dirichlet_stiffness`` and M the spatial weights restricted
-        to the spatial set f (a boolean mask of the spatial nodes, any
-        shape), as a list of factors (V_a, lam_a), one per axis when f is a
-        box (the outer product of its projections on the axes).  There S_f
-        is the Kronecker sum of the ``axis_stiffness`` restricted to each
-        projection, so the modes are V_x (x) V_y with lam the sums
-        lam_x + lam_y, C-ordered.  Any other set has one factor over the
-        raveled nodes, from ``_spatial_modes``; a 1-D set is a box of one.
-
-        Factors are cached per axis and set on it, so the modes of a box
-        take O(nx^2 + ny^2) memory; another set's are computed on every
-        call.
-        """
+    def product_sides(self, f: np.ndarray) -> list | None:
+        """The projections of the spatial set f (a boolean mask of the
+        spatial nodes, any shape) on the axes, when f is their outer
+        product, and None otherwise.  Every 1-D set is one."""
         f = np.reshape(f, self.space_shape)
         sides = [f.any(axis=tuple(b for b in range(self.dim) if b != a))
                  for a in range(self.dim)]
-        if not np.array_equal(f, reduce(np.multiply.outer, sides)):
-            return [self._spatial_modes(f.ravel())]
-        factors = []
-        for a, side in enumerate(sides):
-            key = (a, side.tobytes())
-            if key not in self._modes:
-                self._modes[key] = _weighted_modes(
-                    self.axis_stiffness[a],
-                    _trapezoid_weights(*self.axes[a]), side)
-            factors.append(self._modes[key])
-        return factors
+        return (sides if np.array_equal(f, reduce(np.multiply.outer, sides))
+                else None)
 
-    def _spatial_modes(self, free: np.ndarray) -> tuple:
-        """(V, lam) of one raveled spatial set, uncached: the dense modes
-        of S_f and M_f on the whole set."""
-        return _weighted_modes(self.dirichlet_stiffness,
-                               self.space_weights.ravel(), free)
+    def free_modes(self, sets: np.ndarray) -> list:
+        """The modes of S_f V_f = M_f V_f diag(lam), V_f^T M_f V_f = I, for
+        S the ``dirichlet_stiffness`` and M the spatial weights restricted
+        to each spatial set f of the stack ``sets`` (s, *space), every one
+        a product (``product_sides``), as one factor (V_a, lam_a) per axis.
+        There S_f is the Kronecker sum of the ``axis_stiffness`` restricted
+        to each side, so the modes of f are V_x (x) V_y with lam the sums
+        lam_x + lam_y, C-ordered.  V_a (s, n_a, m_a) and lam_a (s, m_a)
+        stack the sets' modes, each padded with zero columns (lam = 1) to
+        the most any set has on that axis.
+
+        Each side's modes are cached per axis and side, so a set's modes
+        take O(nx^2 + ny^2) memory and no dense matrix of the spatial nodes.
+        """
+        sides = [self.product_sides(f) for f in sets]
+        factors = []
+        for a, (n, h) in enumerate(self.axes):
+            modes = []
+            for side in (s[a] for s in sides):
+                key = (a, side.tobytes())
+                if key not in self._modes:
+                    self._modes[key] = _weighted_modes(
+                        self.axis_stiffness[a], _trapezoid_weights(n, h),
+                        side)
+                modes.append(self._modes[key])
+            m = max(len(lam) for _, lam in modes)
+            V, lam = np.zeros((len(modes), n, m)), np.ones((len(modes), m))
+            for i, (V_i, lam_i) in enumerate(modes):
+                V[i, :, :len(lam_i)] = V_i
+                lam[i, :len(lam_i)] = lam_i
+            factors.append((V, lam))
+        return factors
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
         """G u on the trailing axes: (*lead, *space) -> (*lead, n_edges)."""
@@ -317,7 +324,8 @@ class FreeBlockInverse:
 
     ``free`` is a boolean mask in the field's shape that is a tensor
     product for each species: species i moves (t >= t0) x f_i, t0 and the
-    spatial set f_i (its row at t0) from ``free_rows``.  On such a set
+    spatial set f_i (its row at t0) from ``free_rows``, and f_i is itself
+    a product of one side per axis (``product_sides``).  On such a set
 
         P = 2 [K_f (x) M_f + C_f (x) (eps S_f + sigma M_f)].
 
@@ -330,12 +338,11 @@ class FreeBlockInverse:
     diagonalization method (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
     They are factored once, as one block tridiagonal system in mode-major
     order (LAPACK ``dpttrf``; each is symmetric positive definite), the
-    modes separated by zero off-diagonals.  A set that every species shares
-    is factored once and solved with one right-hand side per species, and
-    its modes are a product of per-axis factors when it is a box, applied
-    to each time slice one axis at a time; otherwise each species' dense
-    modes are padded to one count and stacked, species after species, into
-    one factor and one system with one right-hand side.
+    modes separated by zero off-diagonals.  The modes come as one factor
+    per axis, applied to each time slice one axis at a time.  A set that
+    every species shares is factored once and solved with one right-hand
+    side per species; per-species sets stack their factors and their
+    systems, species after species, into one with one right-hand side.
     """
 
     def __init__(self, grid: SpaceTimeGrid, eps: float, sigma: float,
@@ -351,24 +358,15 @@ class FreeBlockInverse:
         t0, F = free_rows(grid, free)
         rows = F[:, t0]
         self.sigma, self.t0, self._nt = sigma, t0, len(c)
-        if (rows == rows[0]).all():
-            factors = grid.free_modes(rows[0])
-            self._columns = len(rows)
-        else:
-            # each species' modes, padded to the most any species has with
-            # zero columns, whose time blocks (lam = 1) stay definite
-            modes = [grid._spatial_modes(f) for f in rows]
-            n = max(len(m[1]) for m in modes)
-            V = np.zeros((len(modes), len(modes[0][0]), n))
-            lam = np.ones((len(modes), n))
-            for i, (V_i, lam_i) in enumerate(modes):
-                V[i, :, :len(lam_i)] = V_i
-                lam[i, :len(lam_i)] = lam_i
-            factors = [(V, lam)]
-            self._columns = 1
+        # a set every species shares is one system with a right-hand side
+        # per species; otherwise the sets' systems stack, species-major
+        shared = (rows == rows[0]).all()
+        self._columns = len(rows) if shared else 1
+        factors = grid.free_modes(rows[:1] if shared else rows)
         self._Vt = [np.swapaxes(V, -1, -2) for V, _ in factors]
         self._shape = tuple(Vt.shape[-1] for Vt in self._Vt)
-        lam = reduce(np.add.outer, [lam for _, lam in factors]).ravel()
+        lam = reduce(lambda p, q: (p[:, :, None] + q[:, None]).reshape(
+            len(p), -1), [lam for _, lam in factors]).ravel()
         # K_t restricted to t >= t0
         diag = 2.0 * (k_diag[t0:] + (eps * lam[:, None] + sigma) * c[t0:])
         off = np.zeros(diag.shape)
@@ -406,8 +404,9 @@ class FreeBlockInverse:
                           Vt)
         O = out.reshape((k, nt) + self._shape)
         Z = Z.reshape(k, last.shape[-2], -1).transpose(0, 2, 1)
-        np.matmul(Z.reshape(O[:, t0:].shape[:-1] + (-1,)), last,
-                  out=O[:, t0:])
+        # the set axis of ``last`` goes with the species axis of O
+        np.matmul(Z.reshape(O[:, t0:].shape[:-1] + (-1,)),
+                  last[(slice(None),) + (None,) * len(head)], out=O[:, t0:])
         O[:, :t0] = 0.0
         return out
 

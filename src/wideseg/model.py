@@ -82,6 +82,11 @@ class ReactionFamily:
         """Global maximum of F over the real line (attained at s = 1)."""
         return 0.0 if self.kind == "zero" else self.lam / 12.0
 
+    @property
+    def slope_max(self) -> float:
+        """max of |f'(s)| over s in [0, 1]: |lam (2s - 3s^2)| peaks at 1."""
+        return 0.0 if self.kind == "zero" else self.lam
+
 
 @dataclass(frozen=True)
 class SystemSpec:
@@ -104,6 +109,11 @@ class SystemSpec:
     def M_bound(self) -> float:
         """2 * sum_i max F_i, the coercivity defect of the potential term."""
         return 2.0 * sum(r.F_max for r in self.reactions)
+
+    @property
+    def slope_bound(self) -> float:
+        """max_i ``slope_max`` of f_i, the Lipschitz bound of f on [0, 1]."""
+        return max(r.slope_max for r in self.reactions)
 
     @property
     def reactive(self) -> bool:

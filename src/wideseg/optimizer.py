@@ -6,26 +6,28 @@ One loop serves every minimization.  A metric P, an object with
 Algorithms 13, 1996).  One rule, ``exact_metric``, picks it from the mask
 of the nodes that move alone, with natural step 1 either way:
 
-- Wherever that mask is a tensor product, (t >= t0) x a spatial set
-  for each species, the exact inverse of Q + 2 sigma diag(mass) on it,
-  ``grid.FreeBlockInverse``: Q the functional's kinetic and Dirichlet
-  form, 2 sigma the median penalty curvature of the start
-  (``penalty_shift``).  Q is a Kronecker sum there, and the fast
-  diagonalization method inverts it exactly.  Every penalty rung (no
-  support) qualifies, so does a refine whose frozen partition is the
-  same at every time slice, and so does every stationary solve of
-  ``oracle.minimize_elliptic`` (the one-slice case, K = 0).  At the
-  penalty rungs' minimizers fewer than 0.1% of the free entries sit on a
-  bound, so a direction that knows the curvature pays: on the 1-D desk
-  ladder they take 8-91 iterations against 209-403 in the mass metric,
-  and the s1 stationary solves 1-101 against 162-319.  A refine (beta 0,
-  zero reactions) minimizes that quadratic form itself, and its
+- Exactly where that mask is (t >= t0) x one product spatial set (the
+  outer product of its sides on the axes) for each species, the exact
+  inverse of Q + 2 sigma diag(mass) on it, ``grid.FreeBlockInverse``: Q
+  the functional's kinetic and Dirichlet form, 2 sigma the median
+  penalty curvature of the start (``penalty_shift``).  Q is a Kronecker
+  sum there, and the fast diagonalization method inverts it exactly.
+  Every penalty rung (no support) qualifies, so does a refine whose
+  frozen partition is the same at every time slice (every 1-D set is a
+  product; s1's 2-D parts are x-halves), and so does every stationary
+  solve of ``oracle.minimize_elliptic`` (the one-slice case, K = 0).
+  At the penalty rungs' minimizers fewer than 0.1% of the free entries
+  sit on a bound, so a direction that knows the curvature pays: on the
+  1-D desk ladder they take 8-91 iterations against 209-403 in the mass
+  metric, and the s1 stationary solves 1-101 against 162-319.  A refine
+  (beta 0, zero reactions) minimizes that quadratic form itself, and its
   off-diagonals are <= 0, so its first step lands on the minimizer
   inside the box: 1 iteration against 162-231 on s1.
-- ``InverseMass``, P = L diag(mass), only where a partition moves in
-  time (and for an empty free set): the node quadrature mass scaled by
-  the curvature bound L, which turns the gradient into an O(1) residual
-  density across the exponentially weighted mesh.
+- ``InverseMass``, P = L diag(mass), on every other mask (a partition
+  that moves in time or a 2-D part that is not a product) and on an
+  empty one: the node quadrature mass scaled by the curvature bound L,
+  which turns the gradient into an O(1) residual density across the
+  exponentially weighted mesh.
 
 Convergence is always measured on g / mass, after removing components
 blocked by active box constraints, so ``grad_tol`` means the same in
@@ -131,8 +133,7 @@ def _mass_dot(mass: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
 class InverseMass:
     """The metric P = L diag(mass) of ``projected_bb``: step 1 along
     P^-1 g is step 1/L along g / mass.  ``projected_bb``'s default, so
-    the metric of a refine whose support moves in time (``minimize``)
-    and of an empty free set.
+    the metric of every free set that ``exact_metric`` turns down.
 
     ``inv_mass`` is 1 / mass, and 0 where the mass is, so P^-1 g is 0 at
     zero-mass entries.  It is the loop's own array, shared, not copied.
@@ -365,12 +366,14 @@ def exact_metric(grid: SpaceTimeGrid, spec: SystemSpec, eps: float,
     ``free`` marks, a (k, nt, *space) or one-slice (k, *space) mask: the
     ``grid.FreeBlockInverse``, sigma from ``penalty_shift``, when each
     species moves one spatial set at every slice from ``grid.free_rows``'
-    t0 on (per-node counts tell, writing no field), and None, which leaves
+    t0 on (per-node counts tell, writing no field) and that set is a
+    product (``grid.product_sides``), and None, which leaves
     ``projected_bb`` its ``InverseMass``, otherwise and for an empty set."""
     t0, F = gridmod.free_rows(grid, free)
     moves = F[:, t0:].sum(axis=1)
     if not free.any() or not np.array_equal(
-            moves, (F.shape[1] - t0) * F[:, t0]):
+            moves, (F.shape[1] - t0) * F[:, t0]) or any(
+            grid.product_sides(f) is None for f in F[:, t0]):
         return None
     sigma = penalty_shift(x0, spec, eps, beta, ~free)
     return gridmod.FreeBlockInverse(grid, eps, sigma, free)

@@ -51,15 +51,6 @@ class EllipticResult:
     stop_reason: str            # "converged", "no_descent" or "max_iters"
 
 
-def _reaction_slope_bound(spec: SystemSpec) -> float:
-    """max over species and s in [0, 1] of |f_i'(s)|."""
-    out = 0.0
-    for r in spec.reactions:
-        if r.kind == "cubic":
-            out = max(out, r.lam)   # |lam (2s - 3 s^2)| peaks at s = 1
-    return out
-
-
 def _stiffness(grid: SpaceTimeGrid):
     """P1 stiffness matrix on the full node set (boundary rows included):
     the sum over axes of the line stiffness on that axis times the lumped
@@ -95,11 +86,10 @@ def step_parabolic(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
     with the penalty term and makes one direct sparse solve, in any
     dimension.
     """
-    slope = _reaction_slope_bound(spec)
-    if dtau * slope > 0.5 + 1e-12:
+    if dtau * spec.slope_bound > 0.5 + 1e-12:
         raise ValueError(
             f"explicit reaction step unstable: dtau * max|f'| = "
-            f"{dtau * slope:.3g} > 1/2"
+            f"{dtau * spec.slope_bound:.3g} > 1/2"
         )
     K = _stiffness(grid)
     m = grid.space_weights.ravel()
@@ -197,7 +187,7 @@ def minimize_elliptic(spec: SystemSpec, data: BoundaryData,
         return potential_gradient(w[:, None], grid, spec, beta)[:, 0]
 
     L = curvature_bound(grid, spec, 1.0, beta)
-    L += 2.0 * _reaction_slope_bound(spec)
+    L += 2.0 * spec.slope_bound
     precond = exact_metric(grid, spec, 1.0, beta, w0, free)
     w, info = projected_bb(w0, value_fn, grad_fn, mass, cfg, L, change_fn,
                            precond)

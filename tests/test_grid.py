@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 from hypothesis import given, settings, strategies as st
 from scipy.interpolate import interp1d
@@ -13,7 +14,8 @@ from wideseg.grid import (
     discrete_time_derivative, free_mask, impose_pins, resample_in_time,
 )
 from wideseg.model import BC_MODES, BoundaryData, SystemSpec, preset_v0
-from wideseg.oracle import _stiffness
+from wideseg.optimizer import exact_metric
+from wideseg.oracle import _stiffness, minimize_elliptic
 
 
 def small_grid():
@@ -227,19 +229,31 @@ class TestFreeBlockInverse:
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert np.all(got[:, g.pinned(data)] == 0.0)
 
+    @staticmethod
+    def random_sets(g, rng):
+        """Three spatial sets: a random one, its complement and an empty
+        one.  In 2-D they are products, a random x side and its complement
+        times one random y side, as ``FreeBlockInverse`` needs; every 1-D
+        set is one."""
+        sets = np.zeros((3,) + g.space_shape, dtype=bool)
+        if g.dim == 1:
+            sets[0] = rng.uniform(size=g.space_shape) < 0.5
+            sets[1] = ~sets[0]
+        else:
+            x, y = (rng.uniform(size=n) < 0.5 for n, _ in g.axes)
+            sets[0], sets[1] = np.outer(x, y), np.outer(~x, y)
+        return sets
+
     @pytest.mark.parametrize("mode", BC_MODES)
     @pytest.mark.parametrize("name", ["1d", "2d"])
     def test_inverts_per_species_sets(self, name, mode):
         # a refine's frozen partition that does not move in time: one
-        # spatial set per species (a random one, its complement and an
-        # empty one) within the spatial nodes the mode leaves free
+        # spatial set per species (``random_sets``) within the spatial
+        # nodes the mode leaves free
         g = self.SOLVE_GRIDS[name]
         data = BoundaryData.make(np.zeros((3,) + g.space_shape), mode)
         rng = np.random.default_rng(6)
-        spatial = np.zeros((3,) + g.space_shape, dtype=bool)
-        spatial[0] = rng.uniform(size=g.space_shape) < 0.5
-        spatial[1] = ~spatial[0]
-        spatial &= free_mask(g, data)[-1]
+        spatial = self.random_sets(g, rng) & free_mask(g, data)[-1]
         r = rng.normal(size=(3, g.nt) + g.space_shape)
         free = spatial[:, None] & free_mask(g, data)
         got = FreeBlockInverse(g, 0.1, 2.5, free).solve(r)
@@ -310,27 +324,31 @@ class TestFreeBlockInverse:
     @pytest.mark.parametrize("name", ["1d", "2d"])
     def test_one_slice_per_species_sets(self, name, sigma):
         # the stationary oracle's sets: interior nodes within a support
-        # (a random one, its complement and an empty one)
+        # (``random_sets``)
         g = self.SOLVE_GRIDS[name]
         rng = np.random.default_rng(8)
-        free = np.zeros((3,) + g.space_shape, dtype=bool)
-        free[0] = rng.uniform(size=g.space_shape) < 0.5
-        free[1] = ~free[0]
-        free &= ~g.boundary_mask
+        free = self.random_sets(g, rng) & ~g.boundary_mask
         inv = FreeBlockInverse(g, 1.0, sigma, free)
         self.check_one_slice(g, inv, sigma, free, 9)
 
-    def test_one_slice_shared_set_that_is_not_a_box(self):
-        # an L-shaped interior set shared by every species: its modes are
-        # the one dense factor over the raveled nodes
+    def test_set_that_is_not_a_product_takes_the_mass_metric(self):
+        # an L-shaped interior support shared by both species: no exact
+        # inverse, and the stationary solve still converges in the mass
+        # metric
         g = self.SOLVE_GRIDS["2d"]
         L = ~g.boundary_mask
         L[3:, 3:] = False
-        assert len(g.free_modes(L)) == 1
-        assert len(g.free_modes(~g.boundary_mask)) == 2
-        free = np.broadcast_to(L, (3,) + g.space_shape)
-        inv = FreeBlockInverse(g, 1.0, 2.5, free)
-        self.check_one_slice(g, inv, 2.5, free, 10)
+        assert g.product_sides(L) is None
+        assert g.product_sides(~g.boundary_mask) is not None
+        spec = SystemSpec.make(2, [[0, 1], [1, 0]])
+        support = np.broadcast_to(L, (2,) + g.space_shape)
+        x0 = np.full(support.shape, 0.5)
+        assert exact_metric(g, spec, 1.0, 10.0, x0, support) is None
+        data = BoundaryData.make(
+            preset_v0("two_ramp", g.x_field(), 2), "dirichlet_and_initial")
+        res = minimize_elliptic(spec, data, g, 10.0, support=support)
+        held = ~support & ~g.boundary_mask
+        assert res.converged and np.all(res.w[held] == 0.0)
 
 
 class TestPerAxisModes:
@@ -344,11 +362,17 @@ class TestPerAxisModes:
     def test_eigenvalues_and_solve_equal_dense(self, interior, monkeypatch):
         g = self.GRID
         f = ~g.boundary_mask if interior else np.ones(g.space_shape, bool)
-        factors = g.free_modes(f)
-        assert [len(lam) for _, lam in factors] == (
-            [7, 5] if interior else [9, 7])
-        lam = np.sort(np.add.outer(*[lam for _, lam in factors]).ravel())
-        V, dense = g._spatial_modes(f.ravel())
+        factors = g.free_modes(f[None])
+        assert [lam.shape for _, lam in factors] == (
+            [(1, 7), (1, 5)] if interior else [(1, 9), (1, 7)])
+        lam = np.sort(np.add.outer(*[lam[0] for _, lam in factors]).ravel())
+        # the dense modes of S_f and M_f, zero rows outside f
+        m = f.ravel()
+        dense, V_f = scipy.linalg.eigh(
+            g.dirichlet_stiffness.toarray()[np.ix_(m, m)],
+            np.diag(g.space_weights.ravel()[m]))
+        V = np.zeros((m.size, m.sum()))
+        V[m] = V_f
         # relative to the largest: the all-nodes set has lam = 0
         assert np.max(np.abs(lam - dense)) <= 1e-12 * dense.max()
         # the same solve with the dense modes as its one factor
@@ -358,24 +382,30 @@ class TestPerAxisModes:
         free = np.broadcast_to(free_mask(g, data), (2, g.nt) + g.space_shape)
         r = np.random.default_rng(11).normal(size=free.shape)
         got = FreeBlockInverse(g, 0.1, 2.5, free).solve(r)
-        monkeypatch.setattr(g, "free_modes", lambda f: [(V, dense)])
+        monkeypatch.setattr(g, "free_modes",
+                            lambda sets: [(V[None], dense[None])])
         want = FreeBlockInverse(g, 0.1, 2.5, free).solve(r)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_no_dense_spatial_matrix_on_a_box(self):
-        # a dense matrix of the grid's 33 x 33 spatial nodes takes 9.5 MB
+        # a dense matrix of the grid's 33 x 33 spatial nodes takes 9.5 MB;
+        # the sets are the interior, shared, and one x-half of it for each
+        # species, as on an s1 refine
         g = SpaceTimeGrid(2, 31, 1.0, 3, 20.0, ny=31, Ly=1.0)
         data = BoundaryData.make(np.zeros((2,) + g.space_shape),
                                  "dirichlet_and_initial")
-        free = np.broadcast_to(free_mask(g, data), (2, g.nt) + g.space_shape)
-        r = np.ones(free.shape)
-        tracemalloc.start()
-        try:
-            FreeBlockInverse(g, 0.2, 1.0, free).solve(r)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 5e6
+        shared = np.broadcast_to(free_mask(g, data), (2, g.nt) + g.space_shape)
+        halves = shared.copy()
+        halves[0, :, 17:] = halves[1, :, :17] = False
+        r = np.ones(shared.shape)
+        for free in (shared, halves):
+            tracemalloc.start()
+            try:
+                FreeBlockInverse(g, 0.2, 1.0, free).solve(r)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 5e6
 
 
 class TestConstraints:

@@ -25,6 +25,15 @@ class TestReactionFamily:
         assert r.F(0.5) == pytest.approx(5.0 / 192.0, abs=1e-15)
         assert r.F_max == pytest.approx(1.0 / 12.0)
 
+    @pytest.mark.parametrize("kind, lam", [("zero", 1.0), ("cubic", 0.7),
+                                           ("cubic", 2.0)])
+    def test_slope_max_is_max_abs_derivative_on_the_box(self, kind, lam):
+        # central differences of f on a fine grid of [0, 1]
+        r = ReactionFamily(kind, lam)
+        s, h = np.linspace(0.0, 1.0, 2001), 1e-6
+        slope = np.max(np.abs(r.f(s + h) - r.f(s - h)) / (2.0 * h))
+        assert r.slope_max == pytest.approx(slope, rel=1e-6, abs=1e-12)
+
     def test_cubic_scales_linearly(self):
         a, b = ReactionFamily("cubic", 1.0), ReactionFamily("cubic", 3.0)
         s = np.linspace(0, 1, 11)
@@ -97,6 +106,13 @@ class TestSystemSpec:
         )
         # 2 * (1/12 + 1/12): twice the summed potential maxima
         assert spec.M_bound == pytest.approx(1.0 / 3.0)
+
+    def test_slope_bound_is_the_steepest_species(self):
+        fams = [ReactionFamily("cubic", 0.5), ReactionFamily("zero"),
+                ReactionFamily("cubic", 1.5)]
+        spec = SystemSpec.make(3, np.ones((3, 3)) - np.eye(3), fams)
+        assert spec.slope_bound == 1.5
+        assert SystemSpec.make(2, [[0, 1], [1, 0]]).slope_bound == 0.0
 
     def test_validate_ok(self):
         assert validate_system(SystemSpec.make(3, np.ones((3, 3)) - np.eye(3))) == []
