@@ -367,6 +367,7 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
             for eps in rc.ladder.epsilons
         ]
         cmp = oracle_mod.compare_with_minimizer(entries, run, taus, grid)
+        del run   # ~1 MB and not read again: freed before the elliptic stage
         verdicts["oracle_consistency"] = cmp["decreasing"]
         summary["oracle_discrepancy"] = cmp
         write_csv(out_dir / "oracle_discrepancy.csv",

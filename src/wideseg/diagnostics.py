@@ -14,8 +14,14 @@ from functools import reduce
 
 import numpy as np
 
-from .functional import EnergyTrace, energy_identity_residual, penalty_density
-from .grid import SpaceTimeGrid, StateField
+from .functional import (
+    EnergyTrace, _kinetic_cells, _slice_terms, energy_identity_residual,
+    penalty_density,
+)
+from .grid import (
+    SpaceTimeGrid, StateField, discrete_time_derivative, edge_values,
+    trapezoid_weights,
+)
 from .model import SystemSpec
 
 #: mesh-error prefactor of the weak-inequality tolerance; calibrated once
@@ -75,18 +81,14 @@ class Bump:
     def space_parts(self, grid: SpaceTimeGrid):
         """The spatial factor at the nodes, in the spatial shape, and its
         analytic slope at the midpoint of every edge of the grid's cell
-        gradient G, in G's row order (built as ``grid.cell_gradient``
-        builds its weights: an outer product per axis, raveled)."""
+        gradient G, in G's row order (``grid.edge_values``)."""
         centres = ((self.xc, self.rx), (self.yc, self.ry))
         axes = list(zip(grid.coords, centres))
         profiles = [_bump_profile((x - c) / r) for x, (c, r) in axes]
-        slopes = []
-        for a, (x, (c, r)) in enumerate(axes):
-            factors = list(profiles)
-            mid = 0.5 * (x[:-1] + x[1:])
-            factors[a] = _bump_dprofile((mid - c) / r) / r
-            slopes.append(reduce(np.multiply.outer, factors).ravel())
-        return reduce(np.multiply.outer, profiles), np.concatenate(slopes)
+        slopes = [_bump_dprofile((0.5 * (x[:-1] + x[1:]) - c) / r) / r
+                  for x, (c, r) in axes]
+        return (reduce(np.multiply.outer, profiles),
+                edge_values(profiles, slopes))
 
     def time_parts(self, t: np.ndarray):
         st = (t - self.tc) / self.rt
@@ -142,13 +144,6 @@ class InequalityReport:
     passed: bool
 
 
-def _time_derivative(vals: np.ndarray, taus: np.ndarray) -> np.ndarray:
-    """dv/dtau on the time cells of a (n, n_tau, *space) field sampled at
-    ``taus``: shape (n, n_tau - 1, *space)."""
-    dtau = np.diff(taus).reshape((-1,) + (1,) * (vals.ndim - 2))
-    return np.diff(vals, axis=1) / dtau
-
-
 def _pairings(dvdt, grads, forces, taus, grid: SpaceTimeGrid,
               eps_term: float, bump: Bump) -> np.ndarray:
     """Weak pairings  int int { eta dv/dt + eps dv/dt deta/dt
@@ -162,9 +157,7 @@ def _pairings(dvdt, grads, forces, taus, grid: SpaceTimeGrid,
     """
     dtau = np.diff(taus)
     t_mid = 0.5 * (taus[:-1] + taus[1:])
-    ct = np.zeros_like(taus)
-    ct[:-1] += 0.5 * dtau
-    ct[1:] += 0.5 * dtau
+    ct = trapezoid_weights(dtau)
     _, W = grid.dirichlet_operator
 
     bt_mid, dbt_mid = bump.time_parts(t_mid)
@@ -211,7 +204,7 @@ def check_weak_inequalities(vals: np.ndarray, taus: np.ndarray,
     fvals = spec.f_all(vals)
     fields = np.concatenate([vals, vals - (vals.sum(axis=0) - vals)])
     forces = np.concatenate([fvals, fvals - (fvals.sum(axis=0) - fvals)])
-    dvdt = _time_derivative(fields, taus)
+    dvdt = discrete_time_derivative(fields, np.diff(taus))
     grads = grid.gradient(fields)
     pairings = np.array([
         _pairings(dvdt, grads, forces, taus, grid, eps_term, b)
@@ -265,8 +258,7 @@ def check_uniform_windows(vals: np.ndarray, taus: np.ndarray,
     reported quantity is the max over windows of
     (1/T) int_{tau0}^{tau0+T} int { |grad v|^2 + beta <v^2, A v^2> }.
     """
-    D = grid.dirichlet_form(vals).sum(axis=0)
-    P = grid.integrate(penalty_density(vals, spec.A))
+    D, _, P = _slice_terms(vals, grid, spec, beta)
     q = D + beta * P    # (n_tau,)
 
     worst = 0.0
@@ -279,9 +271,8 @@ def check_uniform_windows(vals: np.ndarray, taus: np.ndarray,
         sel = (taus >= tau0 - 1e-12) & (taus <= tau0 + T + 1e-12)
         worst = max(worst, float(np.trapezoid(q[sel], taus[sel]) / T))
 
-    dvdt = _time_derivative(vals, taus)
-    kin_cells = grid.integrate(np.sum(dvdt * dvdt, axis=0))
-    kinetic = float(np.dot(np.diff(taus), kin_cells))
+    dtau = np.diff(taus)
+    kinetic = float(np.dot(dtau, _kinetic_cells(vals, grid, dtau)))
     return {
         "windowed_max": worst,
         "sup_norm": float(np.abs(vals).max()),

@@ -23,6 +23,8 @@ per-cell stencils, for its round-off and because ``EnergyTrace`` needs I
 per cell and R per slice.  ``form_change`` is the step change of J and,
 with the grid's ``slice_operator(1)`` (2S) and the spatial weights, of
 one slice's.
+The diagnostics' uniformity windows read the same ``_slice_terms`` and
+``_kinetic_cells``.
 """
 
 from __future__ import annotations
@@ -81,9 +83,12 @@ def slice_potential(field: StateField, eps: float, beta: float) -> np.ndarray:
     return eps * (D - 2.0 * F + 0.5 * beta * P)
 
 
-def _kinetic_cells(field: StateField) -> np.ndarray:
-    du = gridmod.discrete_time_derivative(field)
-    return field.grid.integrate(np.sum(du * du, axis=0))
+def _kinetic_cells(values, grid: SpaceTimeGrid, dt) -> np.ndarray:
+    """Kinetic integral int |dv/dt|^2 per time cell, the species summed,
+    of values (k, nt, *space) with the forward ``discrete_time_derivative``
+    over the step dt, a scalar or one per cell: shape (nt-1,)."""
+    du = gridmod.discrete_time_derivative(values, dt)
+    return grid.integrate(np.sum(du * du, axis=0))
 
 
 def eval_J(field: StateField, eps: float, beta: float) -> EnergyTrace:
@@ -97,7 +102,7 @@ def eval_J(field: StateField, eps: float, beta: float) -> EnergyTrace:
     g = field.grid
     Rslice = slice_potential(field, eps, beta)
     R = 0.5 * (Rslice[:-1] + Rslice[1:])
-    I = _kinetic_cells(field)
+    I = _kinetic_cells(field.values, g, g.dt)
     cell = I + R
     J = float(np.dot(g.cell_weights, cell))
     cell *= g.cell_weights

@@ -78,12 +78,7 @@ class SpaceTimeGrid:
         # exact per-cell integrals of e^{-t}; their sum is 1 - e^{-T_r}
         et = np.exp(-self.t)
         self.cell_weights = et[:-1] - et[1:]
-        w = self.cell_weights
-        c = np.empty(self.nt)
-        c[0] = 0.5 * w[0]
-        c[1:-1] = 0.5 * (w[:-1] + w[1:])
-        c[-1] = 0.5 * w[-1]
-        self.node_time_weights = c
+        self.node_time_weights = trapezoid_weights(self.cell_weights)
 
         if self.dim == 2:
             if self.ny < 3:
@@ -91,7 +86,7 @@ class SpaceTimeGrid:
             self.dy = self.Ly / (self.ny + 1)
             self.y = np.linspace(0.0, self.Ly, self.ny + 2)
         self.space_weights = reduce(np.multiply.outer, [
-            _trapezoid_weights(n, h) for n, h in self.axes
+            trapezoid_weights(np.full(n - 1, h)) for n, h in self.axes
         ])
         self.boundary_mask = np.ones(self.space_shape, dtype=bool)
         self.boundary_mask[(slice(1, -1),) * self.dim] = False
@@ -133,20 +128,31 @@ class SpaceTimeGrid:
         m.flags.writeable = False
         return m
 
+    @property
+    def dirichlet_scale(self) -> float:
+        """The functional's Dirichlet weights over the true ones: 1 in 1-D
+        and 1/2 in 2-D, a known defect kept so that results stay comparable
+        (the 2-D form took its cross-axis weights from the boundary row of
+        the trapezoid weights, so it is half of int |grad u|^2; ROADMAP 6).
+        The only site of the half.  The ``dirichlet_operator`` and the
+        ``axis_stiffness`` read it, and through them the value, the
+        gradient, Q, the spatial modes, the stationary oracle, the
+        uniformity windows and the weak-inequality pairings."""
+        return 0.5 if self.dim == 2 else 1.0
+
     @cached_property
     def dirichlet_operator(self) -> tuple:
-        """(G, W) of the functional's Dirichlet form sum_e W_e (G u)_e^2."""
+        """(G, W) of the functional's Dirichlet form sum_e W_e (G u)_e^2:
+        the ``cell_gradient`` with its weights times the ``dirichlet_scale``."""
         G, W = cell_gradient(self)
-        if self.dim == 2:
-            # known defect, kept so that results stay comparable: the 2-D
-            # form took its cross-axis weights from the boundary row of the
-            # trapezoid weights, so it is half of int |grad u|^2 (ROADMAP 6).
-            # This is the only site of the half: the value, the gradient,
-            # the space-time operator Q, the per-axis stiffness of the
-            # spatial modes, the uniformity windows and the weak-inequality
-            # pairings all read W from here
-            W = 0.5 * W
-        return G, W
+        return G, self.dirichlet_scale * W
+
+    @cached_property
+    def axis_differences(self) -> list:
+        """Sparse forward difference D_a (n_a - 1, n_a) of each spatial
+        axis, the factors of the ``cell_gradient``."""
+        return [sp.diags_array([-1.0 / h, 1.0 / h], offsets=[0, 1],
+                               shape=(n - 1, n)) for n, h in self.axes]
 
     @cached_property
     def dirichlet_stiffness(self):
@@ -157,31 +163,13 @@ class SpaceTimeGrid:
 
     @cached_property
     def axis_stiffness(self) -> list:
-        """Sparse tridiagonal K_a of each spatial axis whose Kronecker sum
-        over the spatial weights is the ``dirichlet_stiffness``: S itself
-        in 1-D, S = K_x (x) M_y + M_x (x) K_y in 2-D, M_a the trapezoid
-        weights of axis a.  K_a = D_a^T diag(w_a) D_a, D_a the forward
-        difference along a and w_a the ``dirichlet_operator`` weights of
-        the edges along a through the first interior node of the other
-        axes over that node's weight, so the scale of W carries over."""
-        if self.dim == 1:
-            return [self.dirichlet_stiffness]
-        _, W = self.dirichlet_operator
-        sizes = [n for n, _ in self.axes]
-        out, start = [], 0
-        for a, (n, h) in enumerate(self.axes):
-            shape = sizes.copy()
-            shape[a] = n - 1
-            edges = W[start:start + math.prod(shape)].reshape(shape)
-            start += edges.size
-            line = tuple(slice(None) if b == a else 1
-                         for b in range(self.dim))
-            node = math.prod(hb for b, (_, hb) in enumerate(self.axes)
-                             if b != a)
-            D = sp.diags_array([-1.0 / h, 1.0 / h], offsets=[0, 1],
-                               shape=(n - 1, n))
-            out.append(D.T @ sp.diags_array(edges[line] / node) @ D)
-        return out
+        """Sparse tridiagonal K_a = D_a^T diag(s h_a) D_a of each spatial
+        axis, D_a the ``axis_differences`` and s the ``dirichlet_scale``:
+        their Kronecker sum over the trapezoid weights M_a is the
+        ``dirichlet_stiffness``, S itself in 1-D and
+        S = K_x (x) M_y + M_x (x) K_y in 2-D."""
+        return [D.T @ sp.diags_array(np.full(n - 1, self.dirichlet_scale * h))
+                @ D for D, (n, h) in zip(self.axis_differences, self.axes)]
 
     @cached_property
     def time_stiffness(self) -> tuple:
@@ -208,6 +196,8 @@ class SpaceTimeGrid:
         with off-diagonals <= 0 and Q 1 = 0.  Kept for the latest eps only.
         """
         if self._quadratic is None or self._quadratic[0] != eps:
+            # drop the previous eps's Q first, so two are never held at once
+            self._quadratic = None
             diag, off = self.time_stiffness
             K_t = sp.diags_array([off, diag, off], offsets=[-1, 0, 1])
             Q = 2.0 * (
@@ -268,8 +258,8 @@ class SpaceTimeGrid:
                 key = (a, side.tobytes())
                 if key not in self._modes:
                     self._modes[key] = _weighted_modes(
-                        self.axis_stiffness[a], _trapezoid_weights(n, h),
-                        side)
+                        self.axis_stiffness[a],
+                        trapezoid_weights(np.full(n - 1, h)), side)
                 modes.append(self._modes[key])
             m = max(len(lam) for _, lam in modes)
             V, lam = np.zeros((len(modes), n, m)), np.ones((len(modes), m))
@@ -429,10 +419,12 @@ class StateField:
     spec: SystemSpec
 
 
-def discrete_time_derivative(field: StateField) -> np.ndarray:
-    """Forward differences per time cell, shape (k, nt-1, *space)."""
-    u = field.values
-    return (u[:, 1:] - u[:, :-1]) / field.grid.dt
+def discrete_time_derivative(values: np.ndarray, dt) -> np.ndarray:
+    """Forward differences per time cell of values (k, nt, *space) over
+    the step dt, a scalar or one per cell: shape (k, nt-1, *space)."""
+    du = values[:, 1:] - values[:, :-1]
+    du /= np.reshape(dt, (-1,) + (1,) * (values.ndim - 2))
+    return du
 
 
 def resample_in_time(times: np.ndarray, values: np.ndarray,
@@ -478,31 +470,39 @@ def _weighted_modes(K, m: np.ndarray, free: np.ndarray) -> tuple:
     return V, np.maximum(lam, 0.0)
 
 
-def _trapezoid_weights(n: int, h: float) -> np.ndarray:
-    w = np.full(n, h)
-    w[0] = w[-1] = 0.5 * h
-    return w
+def trapezoid_weights(widths: np.ndarray) -> np.ndarray:
+    """Trapezoid node weights of cells of the given widths: each cell
+    gives half its width to each of its two nodes."""
+    c = np.zeros(len(widths) + 1)
+    c[:-1] += 0.5 * widths
+    c[1:] += 0.5 * widths
+    return c
+
+
+def edge_values(nodes: list, edges: list) -> np.ndarray:
+    """One value per row (edge) of the cell gradient G, in G's row order:
+    the edges along x, then along y, each block the C-ordered outer product
+    of ``edges[a]`` (one value per edge along axis a) and ``nodes[b]`` (one
+    value per node of axis b) on every other axis b."""
+    return np.concatenate([
+        reduce(np.multiply.outer, nodes[:a] + [e] + nodes[a + 1:]).ravel()
+        for a, e in enumerate(edges)])
 
 
 def cell_gradient(grid: SpaceTimeGrid) -> tuple:
     """Sparse cell-gradient operator G on the C-ordered spatial nodes and
     the true quadrature weight W of each of its rows (edges).
 
-    G stacks the per-axis forward differences: D_x in 1-D, kron(D_x, I)
-    and kron(I, D_y) in 2-D.  An edge's weight is its length times the
+    G stacks the ``axis_differences``: D_x in 1-D, kron(D_x, I) and
+    kron(I, D_y) in 2-D.  An edge's weight is its length times the
     trapezoid weight across the other axis, so G^T diag(W) G is the lumped
     stiffness matrix kron(K_x, M_y) + kron(M_x, K_y).
     """
-    blocks, weights = [], []
-    for a, (n, h) in enumerate(grid.axes):
-        ops = [sp.eye_array(m) for m, _ in grid.axes]
-        ws = [_trapezoid_weights(m, hm) for m, hm in grid.axes]
-        ops[a] = sp.diags_array([-1.0 / h, 1.0 / h], offsets=[0, 1],
-                                shape=(n - 1, n))
-        ws[a] = np.full(n - 1, h)
-        blocks.append(reduce(sp.kron, ops))
-        weights.append(reduce(np.multiply.outer, ws).ravel())
-    return sp.vstack(blocks, format="csr"), np.concatenate(weights)
+    eyes = [sp.eye_array(n) for n, _ in grid.axes]
+    G = sp.vstack([reduce(sp.kron, eyes[:a] + [D] + eyes[a + 1:])
+                   for a, D in enumerate(grid.axis_differences)], format="csr")
+    lengths = [np.full(n - 1, h) for n, h in grid.axes]
+    return G, edge_values([trapezoid_weights(e) for e in lengths], lengths)
 
 
 def impose_pins(values: np.ndarray, grid: SpaceTimeGrid, data: BoundaryData) -> None:

@@ -5,8 +5,8 @@ system in original time, and a projected-gradient minimizer of the
 stationary spatial energy.  Only the IMEX march is independent of the
 space-time functional: it assembles its own P1 stiffness and shares
 nothing with it beyond the mesh.  The stationary minimizer reuses the
-functional's slice terms, hence ``dirichlet_operator`` (1/2 in 2-D), and
-``projected_bb`` in the one-slice ``grid.FreeBlockInverse``.
+functional's slice terms, hence the grid's ``dirichlet_scale`` (1/2 in
+2-D), and ``projected_bb`` in the one-slice ``grid.FreeBlockInverse``.
 """
 
 from __future__ import annotations

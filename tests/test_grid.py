@@ -1,4 +1,5 @@
 import tracemalloc
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from scipy.sparse.linalg import spsolve
 from wideseg.grid import (
     FreeBlockInverse, SpaceTimeGrid, StateField, cell_gradient,
     discrete_time_derivative, free_mask, impose_pins, resample_in_time,
+    trapezoid_weights,
 )
 from wideseg.model import BC_MODES, BoundaryData, SystemSpec, preset_v0
 from wideseg.optimizer import exact_metric
@@ -82,7 +84,7 @@ class TestOperators:
         spec = SystemSpec.make(2, [[0, 1], [1, 0]])
         f = StateField(np.zeros((2, 11, 9)), g, spec)
         f.values[:] = g.t[None, :, None]
-        du = discrete_time_derivative(f)
+        du = discrete_time_derivative(f.values, f.grid.dt)
         np.testing.assert_allclose(du, 1.0, rtol=1e-12)
 
     def test_spatial_gradient_of_ramp(self):
@@ -163,6 +165,24 @@ class TestCellGradient:
         _, W = g.dirichlet_operator
         factor = 1.0 if g.dim == 1 else 0.5
         np.testing.assert_array_equal(W, factor * W_true)
+
+
+class TestAxisStiffness:
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_kronecker_sum_is_dirichlet_stiffness(self, name):
+        # the per-axis factors of the spatial modes, summed over the other
+        # axes' trapezoid weights, are the functional's own S with its
+        # 2-D half, on every node: exactly in 1-D, where K_x is S itself
+        g = GRIDS[name]
+        M = [np.diag(trapezoid_weights(np.full(n - 1, h))) for n, h in g.axes]
+        terms = [reduce(np.kron, M[:a] + [K.toarray()] + M[a + 1:])
+                 for a, K in enumerate(g.axis_stiffness)]
+        S = g.dirichlet_stiffness.toarray()
+        if g.dim == 1:
+            np.testing.assert_array_equal(terms[0], S)
+        else:
+            np.testing.assert_allclose(sum(terms), S, rtol=0,
+                                       atol=1e-14 * abs(S).max())
 
 
 class TestQuadraticOperator:
