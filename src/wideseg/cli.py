@@ -230,17 +230,14 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
     log(f"[{rc.name}] running eps x beta ladders "
         f"({len(rc.ladder.epsilons)} x {len(rc.ladder.betas)} rungs)")
     dl = run_eps_ladder(spec, data, grid, rc.ladder, rc.optimizer)
+    rungs = []
     for eps in rc.ladder.epsilons:
         bl = dl.beta_results[eps]
-        rungs = [(f"minimize(eps={eps:g}, beta={beta:g})", res)
-                 for beta, res in zip(bl.betas, bl.results)]
-        for stage, res in rungs + [(f"refine(eps={eps:g})", bl.refine)]:
-            if not res.converged:
-                log(f"stage {stage} did not converge (stop: "
-                    f"{res.stop_reason}, pg_norm={res.pg_norm:.3g})")
-                summary["failed_stage"] = stage
-                _write_summary(out_dir, summary)
-                return 1, summary
+        rungs += [(f"minimize(eps={eps:g}, beta={beta:g})", res)
+                  for beta, res in zip(bl.betas, bl.results)]
+        rungs.append((f"refine(eps={eps:g})", bl.refine))
+    if _failed_rung(rungs, summary, out_dir, log):
+        return 1, summary
 
     # level estimate, energy identity, E/I magnitude bounds, uniformity
     # windows and overlap decay: one pass over the rungs
@@ -313,11 +310,7 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
               ["eps", "beta", "beta_times_overlap"], overlap_rows)
 
     # Cauchy behavior of the eps ladder
-    cauchy_ok = all(
-        dl.cauchy[i + 1][2] <= 1.1 * dl.cauchy[i][2]
-        for i in range(len(dl.cauchy) - 1)
-    )
-    verdicts["cauchy"] = bool(cauchy_ok)
+    verdicts["cauchy"] = diag.decreasing([c[2] for c in dl.cauchy])
     # reported beside the distances; no verdict reads the tolerance
     summary["cauchy"] = {"distances": [list(c) for c in dl.cauchy],
                          "cauchy_tol": rc.ladder.cauchy_tol}
@@ -326,7 +319,7 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
 
     # weak inequalities: v_eps (with eps term) and w (eps_term = 0)
     eps_min = rc.ladder.epsilons[-1]
-    taus = np.linspace(0.0, dl.tau_max, 101)
+    taus = dl.taus
     lat = diag.build_lattice(grid, 0.0, dl.tau_max, rc.n_x_bumps,
                              rc.n_t_bumps, rc.scales)
     ineq_rows = []
@@ -377,18 +370,24 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
     if rc.run_elliptic:
         log(f"[{rc.name}] elliptic equivalence and ladder")
         data_g = BoundaryData.make(data.v0, "dirichlet_only")
+        eps, beta = rc.ladder.epsilons[1], rc.ladder.betas[1]
         eq = oracle_mod.check_elliptic_equivalence(
-            spec, data_g, grid, rc.ladder.epsilons[1], rc.ladder.betas[1],
-            rc.optimizer,
+            spec, data_g, grid, eps, beta, rc.optimizer,
         )
         lad = _elliptic_ladder(rc, grid, data_g, out_dir)
+        rungs = [(f"equivalence(eps={eps:g}, beta={beta:g})", eq["result"]),
+                 (f"equivalence_elliptic(beta={beta:g})", eq["elliptic"])]
+        rungs += [(f"elliptic(beta={b:g})", r)
+                  for b, r in zip(lad["betas"], lad["results"])]
+        rungs.append(("elliptic_refine", lad["refine"]))
+        if _failed_rung(rungs, summary, out_dir, log):
+            return 1, summary
         slat = diag.build_lattice(grid, 0.0, 1.0, rc.n_x_bumps, 1, rc.scales)
         srep = diag.check_stationary_inequalities(
             lad["w_segregated"], grid, spec, slat
         )
         ell_ok = (
-            eq["all_converged"] and lad["all_converged"]
-            and eq["temporal_variation"] <= 5e-3
+            eq["temporal_variation"] <= 5e-3
             and eq["elliptic_gap"] <= 5e-3
             and lad["decay_ratio"] <= 1e-2
             and srep.passed
@@ -410,6 +409,20 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
         log(f"[{rc.name}] all checks passed")
     _write_summary(out_dir, summary)
     return (1 if failed else 0), summary
+
+
+def _failed_rung(rungs, summary: dict, out_dir: Path, log) -> bool:
+    """Fail fast on the first of ``rungs`` ((stage, result) pairs) that did
+    not converge: log it, name it as the failed stage and write the summary
+    as it stands."""
+    for stage, res in rungs:
+        if not res.converged:
+            log(f"stage {stage} did not converge (stop: "
+                f"{res.stop_reason}, pg_norm={res.pg_norm:.3g})")
+            summary["failed_stage"] = stage
+            _write_summary(out_dir, summary)
+            return True
+    return False
 
 
 def _elliptic_ladder(rc: RunConfig, grid: SpaceTimeGrid,
@@ -503,6 +516,11 @@ def cmd_check(args) -> int:
     for k, v in sorted(verdicts.items()):
         print(f"{'PASS' if v else 'FAIL'}  {k}")
         ok &= bool(v)
+    # a rung that did not converge stops the run before its later verdicts
+    stage = summary.get("failed_stage", "check:")
+    if not stage.startswith("check:"):
+        print(f"FAIL  stage {stage}")
+        ok = False
     return 0 if ok and verdicts else 1
 
 

@@ -141,6 +141,10 @@ def original_time_l2(a: np.ndarray, b: np.ndarray, taus: np.ndarray,
     return float(np.sqrt(np.trapezoid(per_tau, taus)))
 
 
+#: nodes of the original-time comparison window linspace(0, tau_max, .)
+N_TAU = 101
+
+
 @dataclass
 class DoubleLimitResult:
     beta_results: dict = field(default_factory=dict)   # eps -> BetaLadderResult
@@ -148,6 +152,13 @@ class DoubleLimitResult:
     cauchy: list = field(default_factory=list)         # [(eps_hi, eps_lo, dist)]
     tau_max: float = 0.0
     all_converged: bool = True
+
+    @property
+    def taus(self) -> np.ndarray:
+        """The common original-time comparison window, covered by every
+        rung: the Cauchy distances, the weak inequalities and the oracle
+        are all read on it."""
+        return np.linspace(0.0, self.tau_max, N_TAU)
 
 
 def run_eps_ladder(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
@@ -157,10 +168,8 @@ def run_eps_ladder(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
     ladder warm-started from the previous segregated limit."""
     out = DoubleLimitResult()
     eps_list = list(ladder.epsilons)
-    # common original-time comparison window, covered by every rung
     out.tau_max = 0.5 * min(eps_list) * grid.T_r
-    n_tau = 101
-    taus = np.linspace(0.0, out.tau_max, n_tau)
+    taus = out.taus
 
     warm: StateField | None = None
     prev_orig = None

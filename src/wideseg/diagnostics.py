@@ -38,7 +38,17 @@ LEVEL_RATIO_CAP = 4.0
 LEVEL_REL_SLACK = 0.02
 LEVEL_ABS_SLACK = 1e-6
 
+#: a sequence along the eps ladder (Cauchy distances, oracle discrepancies)
+#: counts as decreasing when each entry is at most this factor times its
+#: predecessor
+DECREASE_SLACK = 1.1
+
 _BPRIME_MAX = 8.0 / (3.0 * np.sqrt(3.0))   # max |d/ds (1-s^2)^2|
+
+
+def decreasing(values) -> bool:
+    """Each entry at most ``DECREASE_SLACK`` times its predecessor."""
+    return all(b <= DECREASE_SLACK * a for a, b in zip(values, values[1:]))
 
 
 def overlap(field: StateField) -> tuple[float, float]:

@@ -208,6 +208,31 @@ class TestExitCodes:
         assert "refine(eps=0.2) did not converge (stop: max_iters" in \
             capsys.readouterr().out
 
+    def test_unconverged_stationary_refine_is_1_with_stage(
+            self, tmp_path, monkeypatch, capsys):
+        # starve only the stationary ladder's refine (the elliptic solve
+        # with a support mask): the stage is named, not left to flip the
+        # elliptic_equivalence verdict
+        from wideseg import oracle
+
+        real = oracle.minimize_elliptic
+
+        def starved_refine(*args, support=None, **kwargs):
+            if support is not None:
+                args = args[:4] + (OptimizerConfig(max_iters=0),)
+            return real(*args, support=support, **kwargs)
+
+        monkeypatch.setattr(oracle, "minimize_elliptic", starved_refine)
+        cfg = BASE_CFG.replace("run_elliptic = false", "run_elliptic = true")
+        out = tmp_path / "out"
+        code = main(["run", "--config", str(write_cfg(tmp_path, cfg)),
+                     "--out", str(out)])
+        assert code == 1
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["failed_stage"] == "elliptic_refine"
+        assert "elliptic_refine did not converge (stop: max_iters" in \
+            capsys.readouterr().out
+
     @pytest.mark.parametrize("key, ladder, one_rung", [
         ("epsilons", "epsilons = 0.2 0.1", "epsilons = 0.2"),
         ("betas", "betas = 10 100", "betas = 10"),
@@ -291,6 +316,15 @@ class TestExitCodes:
     def test_check_and_report_missing_artifacts(self, tmp_path, capsys):
         assert main(["check", "--artifacts", str(tmp_path)]) == 2
         assert main(["report", "--artifacts", str(tmp_path)]) == 2
+
+    def test_check_fails_on_a_stopped_stage(self, tmp_path, capsys):
+        # a stationary rung that does not converge stops the run after the
+        # earlier verdicts are written, all of which may pass
+        summary = {"verdicts": {"cauchy": True, "level_estimate": True},
+                   "failed_stage": "elliptic_refine"}
+        (tmp_path / "summary.json").write_text(json.dumps(summary))
+        assert main(["check", "--artifacts", str(tmp_path)]) == 1
+        assert "FAIL  stage elliptic_refine" in capsys.readouterr().out
 
 
 class TestSubcommands:

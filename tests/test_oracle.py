@@ -1,12 +1,20 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import spsolve
 
+import wideseg
 from wideseg.grid import SpaceTimeGrid, resample_in_time
 from wideseg.model import BoundaryData, ReactionFamily, SystemSpec, preset_v0
 from wideseg.optimizer import OptimizerConfig
 from wideseg.oracle import (
-    check_elliptic_equivalence, compare_with_minimizer, elliptic_beta_ladder,
-    elliptic_energy, minimize_elliptic, spatial_overlap,
+    _stiffness, check_elliptic_equivalence, compare_with_minimizer,
+    elliptic_beta_ladder, elliptic_energy, minimize_elliptic, spatial_overlap,
     step_parabolic,
 )
 
@@ -20,6 +28,33 @@ def setup(nx=15, nt=21):
         preset_v0("two_ramp", g.x_field(), 2), "dirichlet_and_initial"
     )
     return g, spec, data
+
+
+def spsolve_march(spec, data, grid, beta, dtau, n_steps):
+    """The IMEX march with a sparse direct solve of the same assembled
+    matrix (identity rows at the pinned nodes) at every step and species."""
+    K = _stiffness(grid)
+    m = grid.space_weights.ravel()
+    pinned = grid.boundary_mask.ravel() & data.pins_dirichlet
+    free = 1.0 - pinned
+    rhs_op = sp.diags(m / dtau) - 0.5 * K
+    lhs = sp.diags(free) @ (sp.diags(m / dtau) + 0.5 * K) + sp.diags(1 - free)
+    v = data.v0.reshape(spec.k, -1).copy()
+    trace = v[:, pinned]
+    out = [v]
+    for _ in range(n_steps):
+        cross = spec.A @ (v * v)
+        rhs = (rhs_op @ v.T).T + m * spec.f_all(v)
+        rhs[:, pinned] = trace
+        v = np.array([
+            spsolve((lhs + sp.diags(beta * m * free * cross[i])).tocsc(),
+                    rhs[i])
+            for i in range(spec.k)
+        ])
+        v = np.clip(v, 0.0, 1.0)
+        out.append(v)
+    return np.stack(out, axis=1).reshape(
+        (spec.k, n_steps + 1) + grid.space_shape)
 
 
 def heat_exact(x, tau, n_modes=200):
@@ -129,6 +164,41 @@ class TestParabolicStepper:
         ref = runs[0].values[..., None]
         assert runs[1].values.shape == (2, 201, 17, 8)
         assert np.max(np.abs(runs[1].values - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("dim, nx, ny, mode", [
+        (1, 15, 0, "dirichlet_and_initial"),
+        (1, 15, 0, "initial_only"),
+        (2, 7, 4, "dirichlet_and_initial"),
+        (2, 4, 7, "initial_only"),
+    ], ids=["1d-dirichlet", "1d-initial", "2d-7x4", "2d-4x7"])
+    def test_band_march_matches_sparse_solve(self, dim, nx, ny, mode):
+        # nx != ny in 2-D: a band offset of +-1 where the y-stride is due
+        # (or the reverse) changes the march
+        cubic = [ReactionFamily("cubic", 1.0)] * 2
+        spec = SystemSpec.make(2, [[0, 1], [1, 0]], cubic)
+        g = SpaceTimeGrid(dim, nx, 1.0, 5, T_R, ny=ny or 63, Ly=0.7)
+        v0 = preset_v0("two_ramp", g.x_field(), 2)
+        if dim == 2:
+            # vary in y as well, so the y-coupling carries weight
+            v0 = v0 * (0.5 + 0.5 * np.sin(np.pi * g.coords[1] / 0.7))
+        data = BoundaryData.make(v0, mode)
+        run = step_parabolic(spec, data, g, 100.0, 1e-3, 60)
+        ref = spsolve_march(spec, data, g, 100.0, 1e-3, 60)
+        assert run.values.shape == ref.shape
+        assert np.max(np.abs(run.values - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_import_leaves_sparse_linalg_unloaded(self):
+        # every factorization in the package is a LAPACK band routine
+        src = str(Path(wideseg.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run(
+            [sys.executable, "-c", "import sys, wideseg.cli; "
+             "print('scipy.sparse.linalg' in sys.modules)"],
+            env=env, check=True, stdout=subprocess.PIPE, text=True,
+            timeout=120)
+        assert out.stdout.strip() == "False"
 
 
 class TestElliptic:
