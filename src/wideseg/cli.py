@@ -236,7 +236,10 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
         rungs += [(f"minimize(eps={eps:g}, beta={beta:g})", res)
                   for beta, res in zip(bl.betas, bl.results)]
         rungs.append((f"refine(eps={eps:g})", bl.refine))
-    if _failed_rung(rungs, summary, out_dir, log):
+    stage = _failed_rung(rungs, log)
+    if stage:
+        summary["failed_stage"] = stage
+        _write_summary(out_dir, summary)
         return 1, summary
 
     # level estimate, energy identity, E/I magnitude bounds, uniformity
@@ -375,12 +378,13 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
             spec, data_g, grid, eps, beta, rc.optimizer,
         )
         lad = _elliptic_ladder(rc, grid, data_g, out_dir)
-        rungs = [(f"equivalence(eps={eps:g}, beta={beta:g})", eq["result"]),
-                 (f"equivalence_elliptic(beta={beta:g})", eq["elliptic"])]
-        rungs += [(f"elliptic(beta={b:g})", r)
-                  for b, r in zip(lad["betas"], lad["results"])]
-        rungs.append(("elliptic_refine", lad["refine"]))
-        if _failed_rung(rungs, summary, out_dir, log):
+        stage = _failed_rung(
+            [(f"equivalence(eps={eps:g}, beta={beta:g})", eq["result"]),
+             (f"equivalence_elliptic(beta={beta:g})", eq["elliptic"])]
+            + lad["rungs"], log)
+        if stage:
+            summary["failed_stage"] = stage
+            _write_summary(out_dir, summary)
             return 1, summary
         slat = diag.build_lattice(grid, 0.0, 1.0, rc.n_x_bumps, 1, rc.scales)
         srep = diag.check_stationary_inequalities(
@@ -411,26 +415,27 @@ def run_pipeline(rc: RunConfig, out_dir: Path, log=print):
     return (1 if failed else 0), summary
 
 
-def _failed_rung(rungs, summary: dict, out_dir: Path, log) -> bool:
-    """Fail fast on the first of ``rungs`` ((stage, result) pairs) that did
-    not converge: log it, name it as the failed stage and write the summary
-    as it stands."""
+def _failed_rung(rungs, log) -> str | None:
+    """The stage of the first of ``rungs`` ((stage, result) pairs) that did
+    not converge, logged, or None: the caller fails fast with that stage."""
     for stage, res in rungs:
         if not res.converged:
             log(f"stage {stage} did not converge (stop: "
                 f"{res.stop_reason}, pg_norm={res.pg_norm:.3g})")
-            summary["failed_stage"] = stage
-            _write_summary(out_dir, summary)
-            return True
-    return False
+            return stage
+    return None
 
 
 def _elliptic_ladder(rc: RunConfig, grid: SpaceTimeGrid,
                      data_g: BoundaryData, out_dir: Path) -> dict:
-    """The stationary beta ladder, written to ``elliptic_ladder.csv``."""
+    """The stationary beta ladder, written to ``elliptic_ladder.csv``, with
+    its solves as (stage, result) pairs under ``rungs``."""
     lad = oracle_mod.elliptic_beta_ladder(
         rc.spec, data_g, grid, rc.ladder.betas, rc.optimizer
     )
+    lad["rungs"] = [(f"elliptic(beta={b:g})", r)
+                    for b, r in zip(lad["betas"], lad["results"])]
+    lad["rungs"].append(("elliptic_refine", lad["refine"]))
     write_csv(out_dir / "elliptic_ladder.csv",
               ["beta", "overlap", "energy"],
               [[b, o, r.energy] for b, o, r in
@@ -501,7 +506,7 @@ def cmd_elliptic(args) -> int:
     lad = _elliptic_ladder(rc, grid,
                            BoundaryData.make(data.v0, "dirichlet_only"), out)
     print(f"overlap decay ratio = {lad['decay_ratio']:.17g}")
-    return 0 if lad["all_converged"] else 1
+    return 1 if _failed_rung(lad["rungs"], print) else 0
 
 
 def cmd_check(args) -> int:

@@ -19,8 +19,8 @@ from .functional import (
     penalty_density,
 )
 from .grid import (
-    SpaceTimeGrid, StateField, discrete_time_derivative, edge_values,
-    trapezoid_weights,
+    SpaceTimeGrid, StateField, cell_average, discrete_time_derivative,
+    edge_values, trapezoid_weights,
 )
 from .model import SystemSpec
 
@@ -55,10 +55,7 @@ def overlap(field: StateField) -> tuple[float, float]:
     """Weighted space-time integral and nodal sup of <v^2, A v^2>."""
     g = field.grid
     P = penalty_density(field.values, field.spec.A)   # (nt, *space)
-    per_slice = g.integrate(P)
-    integral = float(
-        np.dot(g.cell_weights, 0.5 * (per_slice[:-1] + per_slice[1:]))
-    )
+    integral = float(np.dot(g.cell_weights, cell_average(g.integrate(P))))
     return integral, float(P.max(initial=0.0))
 
 
@@ -95,7 +92,7 @@ class Bump:
         centres = ((self.xc, self.rx), (self.yc, self.ry))
         axes = list(zip(grid.coords, centres))
         profiles = [_bump_profile((x - c) / r) for x, (c, r) in axes]
-        slopes = [_bump_dprofile((0.5 * (x[:-1] + x[1:]) - c) / r) / r
+        slopes = [_bump_dprofile((cell_average(x) - c) / r) / r
                   for x, (c, r) in axes]
         return (reduce(np.multiply.outer, profiles),
                 edge_values(profiles, slopes))
@@ -166,7 +163,7 @@ def _pairings(dvdt, grads, forces, taus, grid: SpaceTimeGrid,
     midpoints under the functional's edge weights W.
     """
     dtau = np.diff(taus)
-    t_mid = 0.5 * (taus[:-1] + taus[1:])
+    t_mid = cell_average(taus)
     ct = trapezoid_weights(dtau)
     _, W = grid.dirichlet_operator
 

@@ -11,13 +11,16 @@ the potential slice energy
     eps * ( |grad u|^2 - 2 F(u) + (beta/2) <u^2, A u^2> )
 
 at the two bounding time nodes.  Spatial quadrature is trapezoidal at nodes
-for the pointwise terms; the gradient term is sum_e W_e (G u)_e^2 with the
-grid's ``dirichlet_operator`` (G, W), so its gradient is 2 S u with S
-the grid's ``dirichlet_stiffness`` G^T W G.
+for the pointwise terms, one matrix-vector product per integral (the
+grid's ``integrate``); the gradient term is sum_e W_e (G u)_e^2 with the
+grid's ``dirichlet_operator`` (G, W), taken by its ``dirichlet_form`` from
+stride differences on the flat field, so its gradient is 2 S u with S the
+grid's ``dirichlet_stiffness`` G^T W G.
 
 Summed over cells, the kinetic and Dirichlet terms are the fixed quadratic
-form sum_i 1/2 u_i^T Q u_i of the grid's ``quadratic_operator(eps)``, and
-the reaction and penalty terms are pointwise with the node weights.  The
+form sum_i 1/2 u_i^T Q u_i of the grid's ``quadratic_operator(eps)``, held
+in diagonal (DIA) storage built from its factors' diagonals, and the
+reaction and penalty terms are pointwise with the node weights.  The
 gradient and the step change read Q; the value, ``eval_J``, keeps the
 per-cell stencils, for its round-off and because ``EnergyTrace`` needs I
 per cell and R per slice.  ``form_change`` is the step change of J and,
@@ -54,10 +57,15 @@ class EnergyTrace:
     J: float
 
 
+def _species_product(A: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """A v over the species axis of v (k, ...), one matrix product."""
+    return (A @ v.reshape(len(v), -1)).reshape(v.shape)
+
+
 def penalty_density(values: np.ndarray, A: np.ndarray) -> np.ndarray:
     """<v^2, A v^2> pointwise; values has shape (k, ...)."""
     v2 = values * values
-    return np.einsum("i...,i...->...", v2, np.tensordot(A, v2, axes=1))
+    return np.einsum("i...,i...->...", v2, _species_product(A, v2))
 
 
 def _slice_terms(values, grid: SpaceTimeGrid, spec: SystemSpec, beta: float):
@@ -88,7 +96,8 @@ def _kinetic_cells(values, grid: SpaceTimeGrid, dt) -> np.ndarray:
     of values (k, nt, *space) with the forward ``discrete_time_derivative``
     over the step dt, a scalar or one per cell: shape (nt-1,)."""
     du = gridmod.discrete_time_derivative(values, dt)
-    return grid.integrate(np.sum(du * du, axis=0))
+    du *= du
+    return grid.integrate(du.sum(axis=0))
 
 
 def eval_J(field: StateField, eps: float, beta: float) -> EnergyTrace:
@@ -98,10 +107,13 @@ def eval_J(field: StateField, eps: float, beta: float) -> EnergyTrace:
     smooth field the terms of Q u cancel, and a difference of two values of
     1/2 u.Qu is then off by up to about 1.4e-14 |J| on the desk ladders,
     more than ``optimizer.ROUNDOFF_RTOL`` allows.  It would be no faster.
+    The stencils are passes over the whole field: the Dirichlet form's
+    stride differences on the flat field and one matrix-vector product per
+    spatial integral; R is the ``cell_average`` of the slice potential.
     """
     g = field.grid
     Rslice = slice_potential(field, eps, beta)
-    R = 0.5 * (Rslice[:-1] + Rslice[1:])
+    R = gridmod.cell_average(Rslice)
     I = _kinetic_cells(field.values, g, g.dt)
     cell = I + R
     J = float(np.dot(g.cell_weights, cell))
@@ -124,13 +136,14 @@ def eval_J_value(field: StateField, eps: float, beta: float) -> float:
     return eval_J(field, eps, beta).J
 
 
-def _penalty_change(u: np.ndarray, d: np.ndarray, p: np.ndarray,
+def _penalty_change(u: np.ndarray, da: np.ndarray,
                     A: np.ndarray) -> np.ndarray:
-    """<b, A b> - <a, A a> pointwise for a = u^2, b = (u + d)^2 and
-    p = 2u + d, as <da, A(2a + da)> with da = d p (A symmetric)."""
-    da = d * p
-    return np.einsum("i...,i...->...", da,
-                     np.tensordot(A, 2.0 * u * u + da, axes=1))
+    """<b, A b> - <a, A a> pointwise for a = u^2 and b = a + da, as
+    <da, A(2a + da)> (A symmetric), summed in one pass that holds no A q."""
+    q = np.multiply(u, u)
+    q *= 2.0
+    q += da
+    return np.einsum("ij,i...,j...->...", A, da, q)
 
 
 def form_change(u: np.ndarray, d: np.ndarray, Q, weights: np.ndarray,
@@ -145,19 +158,22 @@ def form_change(u: np.ndarray, d: np.ndarray, Q, weights: np.ndarray,
     round-off of E itself (a step confined to late time slices, whose
     weight is about e^{-T_r}, changes J by less than its ulp), so a
     difference of two values is noise there.  Here the quadratic part is
-    1/2 d . Q(2u + d), the reaction part is ``F_sum_change`` and the
-    penalty part ``<da, A(2a + da)>``: every term carries d as a factor, so
-    it is exactly 0 where d is.
+    1/2 d . Q p with p = 2u + d, the reaction part is ``F_sum_change`` and
+    the penalty part ``<da, A(2a + da)>`` with da = d p, built in p's place:
+    every term carries d as a factor, so it is exactly 0 where d is.  The
+    factors -2 eps and eps beta / 2 scale the two weighted sums.
     """
-    p = 2.0 * u + d
-    quad = 0.5 * np.vdot(d, _apply_quadratic(p, Q))
-    dens = -2.0 * spec.F_sum_change(u, d) if spec.reactive else None
+    p = np.multiply(u, 2.0)
+    p += d
+    change = 0.5 * float(np.vdot(d, _apply_quadratic(p, Q)))
+    if spec.reactive:
+        change -= 2.0 * eps * float(np.vdot(weights,
+                                            spec.F_sum_change(u, d)))
     if beta != 0.0:
-        pen = 0.5 * beta * _penalty_change(u, d, p, spec.A)
-        dens = pen if dens is None else dens + pen
-    if dens is None:
-        return float(quad)
-    return float(quad + eps * np.vdot(weights, dens))
+        p *= d
+        change += 0.5 * beta * eps * float(
+            np.vdot(weights, _penalty_change(u, p, spec.A)))
+    return change
 
 
 def eval_J_change(field: StateField, d: np.ndarray, eps: float,
@@ -170,24 +186,26 @@ def eval_J_change(field: StateField, d: np.ndarray, eps: float,
 
 
 def _pointwise_gradient(u: np.ndarray, spec: SystemSpec, beta: float,
-                        weights: np.ndarray) -> np.ndarray | None:
-    """weights * (-2 f(u) + 2 beta u (A u^2)), the derivative of the
-    weighted reaction and penalty terms -2F(u) + (beta/2)<u^2, A u^2> (A
-    symmetric), or None when there is neither.
+                        eps: float, weights: np.ndarray) -> np.ndarray | None:
+    """eps * weights * (-2 f(u) + 2 beta u (A u^2)), the derivative of eps
+    times the weighted reaction and penalty terms -2F(u) + (beta/2)<u^2,
+    A u^2> (A symmetric), or None when there is neither.
 
     ``weights`` broadcasts against u (k, ...) from the right.  The terms
     are built in one array in place: beta scales the k x k matrix A, and
-    the factor 2 the weights.
+    the factor 2 eps (-2 eps without the penalty) the weights, which
+    multiply once.  2 eps w is twice eps w exactly, so the bits are those
+    of scaling the weights by eps and then by 2.
     """
     if beta != 0.0:
-        out = np.tensordot(beta * spec.A, u * u, axes=1)
+        out = _species_product(beta * spec.A, u * u)
         out *= u
         if spec.reactive:
             out -= spec.f_all(u)
-        scale = 2.0
+        scale = 2.0 * eps
     elif spec.reactive:
         out = spec.f_all(u)
-        scale = -2.0
+        scale = -2.0 * eps
     else:
         return None
     out *= scale * weights
@@ -204,7 +222,7 @@ def potential_gradient(u: np.ndarray, g: SpaceTimeGrid, spec: SystemSpec,
     S = g.dirichlet_stiffness
     gpot = (u.reshape(-1, S.shape[0]) @ S).reshape(u.shape)   # S symmetric
     gpot *= 2.0
-    pot = _pointwise_gradient(u, spec, beta, g.space_weights)
+    pot = _pointwise_gradient(u, spec, beta, 1.0, g.space_weights)
     if pot is not None:
         gpot += pot
     return gpot
@@ -218,8 +236,9 @@ def grad_J(field: StateField, eps: float, beta: float,
     """
     g = field.grid
     u = field.values
+    # the pointwise part first: its temporaries are gone before Q u exists
+    pot = _pointwise_gradient(u, field.spec, beta, eps, g.node_weights)
     out = _apply_quadratic(u, g.quadratic_operator(eps))
-    pot = _pointwise_gradient(u, field.spec, beta, eps * g.node_weights)
     if pot is not None:
         out += pot
     np.copyto(out, 0.0, where=g.pinned(data))

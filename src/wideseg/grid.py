@@ -6,6 +6,12 @@ recovered afterwards by resampling.  Spatial nodes include the two boundary
 columns, so Dirichlet data is imposed by pinning nodes rather than through
 ghost values; nx still counts interior nodes and dx = Lx/(nx+1).
 
+The functional's kernels are whole-field passes: ``axis_step`` takes each
+axis's differences on the flat C-ordered field at the axis's stride,
+``dirichlet_form`` weighs them, and ``integrate`` is one matrix-vector
+product.  ``quadratic_operator`` holds Q in diagonal storage, built from
+the diagonals of its Kronecker factors.
+
 ``FreeBlockInverse`` learns what moves from one boolean mask in the field's
 shape, (k, nt, *space) or (k, *space) for one slice, through ``free_rows``.
 """
@@ -118,8 +124,11 @@ class SpaceTimeGrid:
         return math.prod(self.lengths)
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
-        """Trapezoidal integral over space: (*lead, *space) -> lead."""
-        return np.tensordot(values, self.space_weights, axes=self.dim)
+        """Trapezoidal integral over space, one matrix-vector product:
+        (*lead, *space) -> lead."""
+        m = self.space_weights.reshape(-1)
+        return (values.reshape(-1, m.size) @ m).reshape(
+            values.shape[:values.ndim - self.dim])
 
     @cached_property
     def node_weights(self) -> np.ndarray:
@@ -143,9 +152,59 @@ class SpaceTimeGrid:
     @cached_property
     def dirichlet_operator(self) -> tuple:
         """(G, W) of the functional's Dirichlet form sum_e W_e (G u)_e^2:
-        the ``cell_gradient`` with its weights times the ``dirichlet_scale``."""
+        the ``cell_gradient`` with its weights times the ``dirichlet_scale``.
+        The form itself and ``gradient`` take G's rows from ``axis_step``;
+        the sparse G is read only to assemble the ``dirichlet_stiffness``."""
         G, W = cell_gradient(self)
         return G, self.dirichlet_scale * W
+
+    @cached_property
+    def axis_edges(self) -> list:
+        """(s_a, e_a) of each spatial axis a: its stride s_a in the
+        C-ordered spatial nodes (ny + 2 along x in 2-D, 1 along the last
+        axis) and the read-only mask e_a (n_space,) of the nodes i whose
+        pair (i, i + s_a) is an edge, those off the last line along a.  In
+        C order the edges are G's rows along a, as ``edge_values`` orders
+        them."""
+        out = []
+        for a in range(self.dim):
+            e = np.ones(self.space_shape, dtype=bool)
+            e[(slice(None),) * a + (-1,)] = False
+            e = e.reshape(-1)
+            e.flags.writeable = False
+            out.append((math.prod(self.space_shape[a + 1:]), e))
+        return out
+
+    @cached_property
+    def dirichlet_weights(self) -> list:
+        """The weight of each node's ``axis_step`` along each axis a,
+        (n_space,) per axis: W_e / h_a^2 at the node that starts edge e, W
+        the ``dirichlet_operator``'s, and 0 at the nodes off ``axis_edges``,
+        whose pairs reach the next line or the next slice."""
+        _, W = self.dirichlet_operator
+        out, start = [], 0
+        for (_, e), (_, h) in zip(self.axis_edges, self.axes):
+            w = np.zeros(e.size)
+            stop = start + np.count_nonzero(e)
+            w[e] = W[start:stop] / (h * h)
+            start = stop
+            out.append(w)
+        return out
+
+    def axis_step(self, values: np.ndarray, a: int) -> np.ndarray:
+        """u[i + s_a] - u[i] at every spatial node i of values (*lead,
+        *space), s_a the stride of axis a (``axis_edges``): shape (*lead,
+        n_space).  The differences are taken in one pass over the flat
+        C-ordered field, so at the nodes off the edges of axis a the pair
+        reaches into the next line or slice, and the last s_a are 0; the
+        ``dirichlet_weights`` give them weight 0.  The one home of the
+        spatial difference."""
+        s, _ = self.axis_edges[a]
+        flat = values.reshape(-1)
+        step = np.empty(flat.size)
+        np.subtract(flat[s:], flat[:-s], out=step[:-s])
+        step[-s:] = 0.0
+        return step.reshape(values.shape[:values.ndim - self.dim] + (-1,))
 
     @cached_property
     def axis_differences(self) -> list:
@@ -194,17 +253,31 @@ class SpaceTimeGrid:
         K_t the ``time_stiffness``, C_t the node time weights, M_x the
         spatial weights and S the ``dirichlet_stiffness``.  Q is symmetric
         with off-diagonals <= 0 and Q 1 = 0.  Kept for the latest eps only.
+
+        Q is held in diagonal (DIA) storage, offsets ascending: 0, +-s_a
+        (the ``axis_edges`` strides) and +-n_space.  Each factor is banded,
+        so each stored diagonal of a Kronecker product is the ``np.kron``
+        of one stored diagonal of each factor.
         """
         if self._quadratic is None or self._quadratic[0] != eps:
             # drop the previous eps's Q first, so two are never held at once
             self._quadratic = None
             diag, off = self.time_stiffness
-            K_t = sp.diags_array([off, diag, off], offsets=[-1, 0, 1])
-            Q = 2.0 * (
-                sp.kron(K_t, sp.diags_array(self.space_weights.ravel()))
-                + eps * sp.kron(sp.diags_array(self.node_time_weights),
-                                self.dirichlet_stiffness))
-            self._quadratic = (eps, Q.tocsr())
+            m = self.space_weights.reshape(-1)
+            S = self.dirichlet_stiffness.todia()
+            # K_t's diagonals -1 and +1 as DIA stores them, by column
+            below, above = np.zeros(self.nt), np.zeros(self.nt)
+            below[:-1] = above[1:] = off
+            data = np.empty((len(S.offsets) + 2, self.nt * m.size))
+            data[1:-1] = np.kron(self.node_time_weights, S.data)
+            data[1:-1] *= eps
+            # S's offsets are symmetric, so offset 0 is the middle row
+            data[len(data) // 2] += np.kron(diag, m)
+            data[0], data[-1] = np.kron(below, m), np.kron(above, m)
+            data *= 2.0
+            offsets = np.concatenate([[-m.size], S.offsets, [m.size]])
+            self._quadratic = (eps, sp.dia_array((data, offsets),
+                                                 shape=(data.shape[1],) * 2))
         return self._quadratic[1]
 
     def slice_operator(self, eps: float):
@@ -270,18 +343,24 @@ class SpaceTimeGrid:
         return factors
 
     def gradient(self, values: np.ndarray) -> np.ndarray:
-        """G u on the trailing axes: (*lead, *space) -> (*lead, n_edges)."""
-        G, _ = self.dirichlet_operator
-        X = values.reshape(-1, G.shape[1]).T
-        return (G @ X).T.reshape(values.shape[:values.ndim - self.dim] + (-1,))
+        """G u on the trailing axes, each axis's ``axis_step`` on its edges
+        over h_a: (*lead, *space) -> (*lead, n_edges), G's rows in order."""
+        return np.concatenate([
+            self.axis_step(values, a)[..., e] / h
+            for a, ((_, e), (_, h)) in enumerate(zip(self.axis_edges,
+                                                     self.axes))], axis=-1)
 
     def dirichlet_form(self, a: np.ndarray, b: np.ndarray | None = None):
         """sum_e W_e (G a)_e (G b)_e over the trailing spatial axes, with
-        b = a by default: shape (*lead, *space) -> lead."""
-        _, W = self.dirichlet_operator
-        ga = self.gradient(a)
-        ga *= ga if b is None else self.gradient(b)
-        return ga @ W
+        b = a by default: shape (*lead, *space) -> lead.  Per axis, the
+        products of the ``axis_step`` of a and b against the
+        ``dirichlet_weights``, one matrix-vector product."""
+        form = 0.0
+        for ax, w in enumerate(self.dirichlet_weights):
+            step = self.axis_step(a, ax)
+            step *= step if b is None else self.axis_step(b, ax)
+            form = form + step @ w
+        return form
 
     def x_field(self) -> np.ndarray:
         """x-coordinate at every spatial node, in the spatial shape."""
@@ -468,6 +547,12 @@ def _weighted_modes(K, m: np.ndarray, free: np.ndarray) -> tuple:
     V[free] = h[:, None] * U
     # K_f is semidefinite: a rounded eigenvalue below 0 means 0
     return V, np.maximum(lam, 0.0)
+
+
+def cell_average(values: np.ndarray) -> np.ndarray:
+    """The mean of the two nodes of each cell along the first axis, from
+    node values (per time slice, or node coordinates) to cell values."""
+    return 0.5 * (values[:-1] + values[1:])
 
 
 def trapezoid_weights(widths: np.ndarray) -> np.ndarray:

@@ -60,7 +60,14 @@ class ReactionFamily:
         s = np.asarray(s, dtype=float)
         if self.kind == "zero":
             return np.zeros_like(s)
-        return self.lam * (s * s * s) * (1.0 / 3.0 - 0.25 * s)
+        # lam * (s * s * s) * (1/3 - s/4), in its order, in two arrays
+        q = np.multiply(s, s, out=np.empty(s.shape))
+        q *= s
+        q *= self.lam
+        t = np.multiply(0.25, s, out=np.empty(s.shape))
+        np.subtract(1.0 / 3.0, t, out=t)
+        q *= t
+        return q
 
     def F_change(self, s, d):
         """F(s + d) - F(s), factored through d so that it carries no
@@ -68,14 +75,26 @@ class ReactionFamily:
         tiny against s."""
         s = np.asarray(s, dtype=float)
         d = np.asarray(d, dtype=float)
+        shape = np.broadcast_shapes(s.shape, d.shape)
         if self.kind == "zero":
-            return np.zeros(np.broadcast(s, d).shape)
+            return np.zeros(shape)
         # ((s+d)^3 - s^3)/3 - ((s+d)^4 - s^4)/4, divided by d, in Horner
-        # form: s^2 (1-s) + d (s (1 - 3s/2) + d (1/3 - s - d/4))
-        q = (1.0 / 3.0 - s) - 0.25 * d
-        q = s * (1.0 - 1.5 * s) + d * q
-        q = s * s * (1.0 - s) + d * q
-        return self.lam * d * q
+        # form: s^2 (1-s) + d (s (1 - 3s/2) + d (1/3 - s - d/4)), each
+        # product and sum in its written order, in q and one work array t
+        q, t = np.empty(shape), np.empty(shape)
+        np.subtract(1.0 / 3.0, s, out=q)
+        q -= np.multiply(0.25, d, out=t)
+        q *= d
+        np.multiply(1.5, s, out=t)
+        np.subtract(1.0, t, out=t)
+        t *= s
+        q += t
+        q *= d
+        np.multiply(s, s, out=t)
+        t *= 1.0 - s
+        q += t
+        q *= np.multiply(self.lam, d, out=t)
+        return q
 
     @property
     def F_max(self) -> float:
@@ -131,17 +150,19 @@ class SystemSpec:
         return out
 
     def F_sum(self, values: np.ndarray) -> np.ndarray:
-        """sum_i F_i(v_i), pointwise over the trailing axes."""
-        out = np.zeros(values.shape[1:])
-        for i in range(self.k):
-            out += self.reactions[i].F(values[i])
+        """sum_i F_i(v_i), pointwise over the trailing axes, species 0
+        first."""
+        out = self.reactions[0].F(values[0])
+        for r, v in zip(self.reactions[1:], values[1:]):
+            out += r.F(v)
         return out
 
     def F_sum_change(self, values: np.ndarray, d: np.ndarray) -> np.ndarray:
-        """sum_i F_i(v_i + d_i) - F_i(v_i), pointwise, without cancellation."""
-        out = np.zeros(values.shape[1:])
-        for i in range(self.k):
-            out += self.reactions[i].F_change(values[i], d[i])
+        """sum_i F_i(v_i + d_i) - F_i(v_i), pointwise, without cancellation,
+        species 0 first."""
+        out = self.reactions[0].F_change(values[0], d[0])
+        for r, v, di in zip(self.reactions[1:], values[1:], d[1:]):
+            out += r.F_change(v, di)
         return out
 
 

@@ -391,6 +391,16 @@ class TestSubcommands:
         assert rows[0] == "beta,overlap,energy"
         assert [float(r.split(",")[0]) for r in rows[1:]] == [10.0, 100.0]
 
+    def test_unconverged_elliptic_is_1_with_stage(self, tmp_path, capsys):
+        # two iterations leave the first stationary rung unconverged: the
+        # command names it, as ``run`` names its failed stage
+        starved = BASE_CFG.replace("max_iters = 1500", "max_iters = 2")
+        code, out = self.run(tmp_path, "elliptic", cfg=starved)
+        assert code == 1
+        assert "stage elliptic(beta=10) did not converge (stop: max_iters" \
+            in capsys.readouterr().out
+        assert (out / "elliptic_ladder.csv").exists()
+
 
 @pytest.fixture(scope="module")
 def run_dir(tmp_path_factory):

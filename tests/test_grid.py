@@ -167,6 +167,40 @@ class TestCellGradient:
         np.testing.assert_array_equal(W, factor * W_true)
 
 
+class TestDirichletForm:
+    """The form from stride differences on the flat field, against the
+    sparse cell gradient and its weights: sum_e W_e (G a)_e (G b)_e."""
+
+    @staticmethod
+    def sparse_gradient(g, v):
+        G, _ = g.dirichlet_operator
+        return (G @ v.reshape(-1, G.shape[1]).T).T.reshape(
+            v.shape[:2] + (-1,))
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_stride_form_is_cell_gradient_form(self, name):
+        g = GRIDS[name]
+        _, W = g.dirichlet_operator
+        a, b = np.random.default_rng(11).standard_normal(
+            (2, 3, g.nt) + g.space_shape)
+        Ga, Gb = (self.sparse_gradient(g, v) for v in (a, b))
+        for got, gb in ((g.dirichlet_form(a), Ga),
+                        (g.dirichlet_form(a, b), Gb)):
+            assert got.shape == (3, g.nt)
+            # relative to the sum of the terms' sizes: a b can cancel
+            scale = np.abs(Ga * gb) @ W
+            assert np.max(np.abs(got - (Ga * gb) @ W) / scale) <= 1e-14
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_gradient_is_cell_gradient(self, name):
+        g = GRIDS[name]
+        v = np.random.default_rng(12).standard_normal(
+            (2, g.nt) + g.space_shape)
+        want = self.sparse_gradient(g, v)
+        np.testing.assert_allclose(g.gradient(v), want, rtol=0,
+                                   atol=1e-14 * np.abs(want).max())
+
+
 class TestAxisStiffness:
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_kronecker_sum_is_dirichlet_stiffness(self, name):
@@ -189,9 +223,10 @@ class TestQuadraticOperator:
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_symmetric_m_matrix_pattern(self, name):
         # the kinetic and Dirichlet form: symmetric, off-diagonals <= 0 and
-        # constants in its kernel
+        # constants in its kernel; DIA storage has no elementwise compare,
+        # so the pattern is read from its CSR copy
         g = GRIDS[name]
-        Q = g.quadratic_operator(0.1)
+        Q = g.quadratic_operator(0.1).tocsr()
         n = g.nt * g.space_weights.size
         assert Q.shape == (n, n)
         assert (Q != Q.T).nnz == 0
@@ -199,6 +234,24 @@ class TestQuadraticOperator:
         assert off.max() <= 0.0
         np.testing.assert_allclose(Q @ np.ones(n), 0.0, rtol=0,
                                    atol=1e-14 * abs(Q).max())
+
+    @pytest.mark.parametrize("name", sorted(GRIDS))
+    def test_diagonal_storage_is_the_kron_assembly(self, name):
+        # Q in DIA storage from the factors' diagonals: the entries of
+        # 2 [K_t (x) M + eps C_t (x) S] exactly, and its products bit for bit
+        g = GRIDS[name]
+        diag, off = g.time_stiffness
+        K_t = sp.diags_array([off, diag, off], offsets=[-1, 0, 1])
+        want = (2.0 * (
+            sp.kron(K_t, sp.diags_array(g.space_weights.ravel()))
+            + 0.1 * sp.kron(sp.diags_array(g.node_time_weights),
+                            g.dirichlet_stiffness))).tocsr()
+        Q = g.quadratic_operator(0.1)
+        assert Q.format == "dia"
+        assert list(Q.offsets) == sorted(Q.offsets)
+        assert (Q.tocsr() != want).nnz == 0
+        x = np.random.default_rng(13).standard_normal(Q.shape[0])
+        np.testing.assert_array_equal(Q @ x, want @ x)
 
     def test_kept_for_latest_eps(self):
         g = SpaceTimeGrid(1, 9, 1.0, 5, 20.0)
