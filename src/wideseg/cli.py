@@ -477,7 +477,8 @@ def cmd_minimize(args) -> int:
     write_field_csv(out / "minimizer.csv", res.field.values, grid.t, grid)
     print(f"J = {res.trace.J:.17g}  iters = {res.iters}  "
           f"converged = {res.converged}")
-    return 0 if res.converged else 1
+    stage = f"minimize(eps={args.eps:g}, beta={args.beta:g})"
+    return 1 if _failed_rung([(stage, res)], print) else 0
 
 
 def cmd_oracle(args) -> int:

@@ -20,7 +20,7 @@ from .functional import (
 )
 from .grid import (
     SpaceTimeGrid, StateField, cell_average, discrete_time_derivative,
-    edge_values, trapezoid_weights,
+    trapezoid_weights,
 )
 from .model import SystemSpec
 
@@ -86,16 +86,18 @@ class Bump:
         return [r for r in (self.rx, self.rt, self.ry) if r is not None]
 
     def space_parts(self, grid: SpaceTimeGrid):
-        """The spatial factor at the nodes, in the spatial shape, and its
-        analytic slope at the midpoint of every edge of the grid's cell
-        gradient G, in G's row order (``grid.edge_values``)."""
+        """The spatial factor at the nodes, in the spatial shape, and per
+        axis a its analytic slope along a at the midpoint of every edge
+        along a, in the shape of the grid's ``edges(a)``."""
         centres = ((self.xc, self.rx), (self.yc, self.ry))
         axes = list(zip(grid.coords, centres))
         profiles = [_bump_profile((x - c) / r) for x, (c, r) in axes]
         slopes = [_bump_dprofile((cell_average(x) - c) / r) / r
                   for x, (c, r) in axes]
         return (reduce(np.multiply.outer, profiles),
-                edge_values(profiles, slopes))
+                [reduce(np.multiply.outer,
+                        profiles[:a] + [d] + profiles[a + 1:])
+                 for a, d in enumerate(slopes)])
 
     def time_parts(self, t: np.ndarray):
         st = (t - self.tc) / self.rt
@@ -157,26 +159,27 @@ def _pairings(dvdt, grads, forces, taus, grid: SpaceTimeGrid,
     + grad v . grad eta - f(v) eta } dx dtau  of one bump eta with each
     field along the leading axis.
 
-    dvdt holds the time differences on time cells, grads the cell
-    gradients G v on the nodes' time levels, forces f(v) on the nodes.
-    The gradient term pairs G v with the bump's analytic slope at the edge
-    midpoints under the functional's edge weights W.
+    dvdt holds the time differences on time cells, grads per axis a the
+    ``edge_gradient`` along a on the nodes' time levels, its edges
+    flattened, and forces f(v) on the nodes.  The gradient term pairs each
+    with the bump's analytic slope along a at the edge midpoints under the
+    functional's edge weights W_a.
     """
     dtau = np.diff(taus)
     t_mid = cell_average(taus)
     ct = trapezoid_weights(dtau)
-    _, W = grid.dirichlet_operator
 
     bt_mid, dbt_mid = bump.time_parts(t_mid)
     bt, _ = bump.time_parts(taus)
-    eta, slope = bump.space_parts(grid)
+    eta, slopes = bump.space_parts(grid)
     sw_eta = grid.space_weights * eta
 
     # time-derivative terms on time cells, eta at midpoints
     spatial = np.tensordot(dvdt, sw_eta, axes=grid.dim)   # (n, n_tau-1)
     T1 = spatial @ (dtau * bt_mid)
     T2 = eps_term * (spatial @ (dtau * dbt_mid))
-    T3 = (grads @ (W * slope)) @ (ct * bt)
+    T3 = sum(g @ (W * slope).ravel() for g, W, slope
+             in zip(grads, grid.edge_weights, slopes)) @ (ct * bt)
     T4 = -(np.tensordot(forces, sw_eta, axes=grid.dim) @ (ct * bt))
     return T1 + T2 + T3 + T4
 
@@ -212,7 +215,8 @@ def check_weak_inequalities(vals: np.ndarray, taus: np.ndarray,
     fields = np.concatenate([vals, vals - (vals.sum(axis=0) - vals)])
     forces = np.concatenate([fvals, fvals - (fvals.sum(axis=0) - fvals)])
     dvdt = discrete_time_derivative(fields, np.diff(taus))
-    grads = grid.gradient(fields)
+    grads = [grid.edge_gradient(fields, a).reshape(fields.shape[:2] + (-1,))
+             for a in range(grid.dim)]
     pairings = np.array([
         _pairings(dvdt, grads, forces, taus, grid, eps_term, b)
         for b in lattice.bumps

@@ -12,10 +12,11 @@ the potential slice energy
 
 at the two bounding time nodes.  Spatial quadrature is trapezoidal at nodes
 for the pointwise terms, one matrix-vector product per integral (the
-grid's ``integrate``); the gradient term is sum_e W_e (G u)_e^2 with the
-grid's ``dirichlet_operator`` (G, W), taken by its ``dirichlet_form`` from
-stride differences on the flat field, so its gradient is 2 S u with S the
-grid's ``dirichlet_stiffness`` G^T W G.
+grid's ``integrate``); the gradient term is sum_a sum_e W_a,e (grad_a u)_e^2
+over the edges e along each axis a, with the grid's per-axis edge weights
+W_a (``edge_weights``), taken by its ``dirichlet_form`` from stride
+differences on the flat field, so its gradient is 2 S u with S the grid's
+``dirichlet_stiffness``, the Kronecker sum of its per-axis factors.
 
 Summed over cells, the kinetic and Dirichlet terms are the fixed quadratic
 form sum_i 1/2 u_i^T Q u_i of the grid's ``quadratic_operator(eps)``, held

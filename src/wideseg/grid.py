@@ -6,6 +6,12 @@ recovered afterwards by resampling.  Spatial nodes include the two boundary
 columns, so Dirichlet data is imposed by pinning nodes rather than through
 ghost values; nx still counts interior nodes and dx = Lx/(nx+1).
 
+The Dirichlet term is defined by per-axis factors alone: the trapezoid
+weights M_a (``axis_weights``), the line stiffness K_a (``axis_stiffness``)
+and the edge weights W_a (``edge_weights``).  Its matrix S
+(``dirichlet_stiffness``) is their Kronecker sum, the one that
+``free_modes`` diagonalizes.
+
 The functional's kernels are whole-field passes: ``axis_step`` takes each
 axis's differences on the flat C-ordered field at the axis's stride,
 ``dirichlet_form`` weighs them, and ``integrate`` is one matrix-vector
@@ -19,6 +25,7 @@ shape, (k, nt, *space) or (k, *space) for one slice, through ``free_rows``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -51,6 +58,7 @@ class SpaceTimeGrid:
     t: np.ndarray = field(init=False)
     cell_weights: np.ndarray = field(init=False)
     node_time_weights: np.ndarray = field(init=False)
+    axis_weights: list = field(init=False)
     space_weights: np.ndarray = field(init=False)
     boundary_mask: np.ndarray = field(init=False)
     tail_mass: float = field(init=False)
@@ -91,9 +99,10 @@ class SpaceTimeGrid:
                 raise ValueError("ny must be >= 3 in 2-D")
             self.dy = self.Ly / (self.ny + 1)
             self.y = np.linspace(0.0, self.Ly, self.ny + 2)
-        self.space_weights = reduce(np.multiply.outer, [
-            trapezoid_weights(np.full(n - 1, h)) for n, h in self.axes
-        ])
+        # the one trapezoid rule per axis, M_a, and their outer product
+        self.axis_weights = [trapezoid_weights(np.full(n - 1, h))
+                             for n, h in self.axes]
+        self.space_weights = reduce(np.multiply.outer, self.axis_weights)
         self.boundary_mask = np.ones(self.space_shape, dtype=bool)
         self.boundary_mask[(slice(1, -1),) * self.dim] = False
 
@@ -143,92 +152,97 @@ class SpaceTimeGrid:
         and 1/2 in 2-D, a known defect kept so that results stay comparable
         (the 2-D form took its cross-axis weights from the boundary row of
         the trapezoid weights, so it is half of int |grad u|^2; ROADMAP 6).
-        The only site of the half.  The ``dirichlet_operator`` and the
-        ``axis_stiffness`` read it, and through them the value, the
-        gradient, Q, the spatial modes, the stationary oracle, the
-        uniformity windows and the weak-inequality pairings."""
+        The only site of the half.  The per-axis factors read it, the
+        ``edge_weights`` W_a and the ``axis_stiffness`` K_a, and through
+        them the value, the gradient, S, Q, the spatial modes, the
+        stationary oracle, the uniformity windows and the weak-inequality
+        pairings."""
         return 0.5 if self.dim == 2 else 1.0
 
     @cached_property
-    def dirichlet_operator(self) -> tuple:
-        """(G, W) of the functional's Dirichlet form sum_e W_e (G u)_e^2:
-        the ``cell_gradient`` with its weights times the ``dirichlet_scale``.
-        The form itself and ``gradient`` take G's rows from ``axis_step``;
-        the sparse G is read only to assemble the ``dirichlet_stiffness``."""
-        G, W = cell_gradient(self)
-        return G, self.dirichlet_scale * W
+    def axis_strides(self) -> list:
+        """The stride s_a of each spatial axis a in the C-ordered spatial
+        nodes: ny + 2 along x in 2-D, 1 along the last axis."""
+        return [math.prod(self.space_shape[a + 1:]) for a in range(self.dim)]
+
+    def edges(self, a: int) -> tuple:
+        """Index of the edges along axis a in the trailing spatial axes:
+        the nodes i off the last line along a, whose pair (i, i + s_a)
+        is an edge."""
+        return (Ellipsis,) + tuple(slice(-1) if b == a else slice(None)
+                                   for b in range(self.dim))
 
     @cached_property
-    def axis_edges(self) -> list:
-        """(s_a, e_a) of each spatial axis a: its stride s_a in the
-        C-ordered spatial nodes (ny + 2 along x in 2-D, 1 along the last
-        axis) and the read-only mask e_a (n_space,) of the nodes i whose
-        pair (i, i + s_a) is an edge, those off the last line along a.  In
-        C order the edges are G's rows along a, as ``edge_values`` orders
-        them."""
-        out = []
-        for a in range(self.dim):
-            e = np.ones(self.space_shape, dtype=bool)
-            e[(slice(None),) * a + (-1,)] = False
-            e = e.reshape(-1)
-            e.flags.writeable = False
-            out.append((math.prod(self.space_shape[a + 1:]), e))
-        return out
+    def edge_weights(self) -> list:
+        """W_a = s h_a (x)_{b != a} M_b of each spatial axis a, in the shape
+        of its ``edges`` (n_a - 1 along a): each edge's length times the
+        ``axis_weights`` of the other axes, times the ``dirichlet_scale`` s.
+        The Dirichlet form is sum_a sum_e W_a,e (u[e + s_a] - u[e])^2 /
+        h_a^2."""
+        s = self.dirichlet_scale
+        return [s * reduce(np.multiply.outer, self.axis_weights[:a]
+                           + [np.full(n - 1, h)] + self.axis_weights[a + 1:])
+                for a, (n, h) in enumerate(self.axes)]
 
     @cached_property
     def dirichlet_weights(self) -> list:
         """The weight of each node's ``axis_step`` along each axis a,
-        (n_space,) per axis: W_e / h_a^2 at the node that starts edge e, W
-        the ``dirichlet_operator``'s, and 0 at the nodes off ``axis_edges``,
-        whose pairs reach the next line or the next slice."""
-        _, W = self.dirichlet_operator
-        out, start = [], 0
-        for (_, e), (_, h) in zip(self.axis_edges, self.axes):
-            w = np.zeros(e.size)
-            stop = start + np.count_nonzero(e)
-            w[e] = W[start:stop] / (h * h)
-            start = stop
-            out.append(w)
+        (n_space,) per axis: W_a / h_a^2 on the ``edges`` along a, W_a the
+        ``edge_weights``, and 0 at the nodes off them, whose pairs reach
+        the next line or the next slice."""
+        out = []
+        for a, (W, (_, h)) in enumerate(zip(self.edge_weights, self.axes)):
+            w = np.zeros(self.space_shape)
+            w[self.edges(a)] = W / (h * h)
+            out.append(w.reshape(-1))
         return out
 
     def axis_step(self, values: np.ndarray, a: int) -> np.ndarray:
         """u[i + s_a] - u[i] at every spatial node i of values (*lead,
-        *space), s_a the stride of axis a (``axis_edges``): shape (*lead,
+        *space), s_a the stride of axis a (``axis_strides``): shape (*lead,
         n_space).  The differences are taken in one pass over the flat
-        C-ordered field, so at the nodes off the edges of axis a the pair
-        reaches into the next line or slice, and the last s_a are 0; the
-        ``dirichlet_weights`` give them weight 0.  The one home of the
+        C-ordered field, so at the nodes off the ``edges`` of axis a the
+        pair reaches into the next line or slice, and the last s_a are 0;
+        the ``dirichlet_weights`` give them weight 0.  The one home of the
         spatial difference."""
-        s, _ = self.axis_edges[a]
+        s = self.axis_strides[a]
         flat = values.reshape(-1)
         step = np.empty(flat.size)
         np.subtract(flat[s:], flat[:-s], out=step[:-s])
         step[-s:] = 0.0
         return step.reshape(values.shape[:values.ndim - self.dim] + (-1,))
 
-    @cached_property
-    def axis_differences(self) -> list:
-        """Sparse forward difference D_a (n_a - 1, n_a) of each spatial
-        axis, the factors of the ``cell_gradient``."""
-        return [sp.diags_array([-1.0 / h, 1.0 / h], offsets=[0, 1],
-                               shape=(n - 1, n)) for n, h in self.axes]
-
-    @cached_property
-    def dirichlet_stiffness(self):
-        """Sparse S = G^T diag(W) G of the ``dirichlet_operator``: the
-        spatial factor of the Dirichlet form, u^T S u = sum_e W_e (G u)_e^2."""
-        G, W = self.dirichlet_operator
-        return G.T @ sp.diags_array(W) @ G
+    def edge_gradient(self, values: np.ndarray, a: int) -> np.ndarray:
+        """The gradient along axis a on its ``edges``, the ``axis_step``
+        over h_a without the pairs that wrap: (*lead, *space) -> (*lead,
+        *space with n_a - 1 along a)."""
+        step = self.axis_step(values, a).reshape(values.shape)
+        return step[self.edges(a)] / self.axes[a][1]
 
     @cached_property
     def axis_stiffness(self) -> list:
         """Sparse tridiagonal K_a = D_a^T diag(s h_a) D_a of each spatial
-        axis, D_a the ``axis_differences`` and s the ``dirichlet_scale``:
-        their Kronecker sum over the trapezoid weights M_a is the
-        ``dirichlet_stiffness``, S itself in 1-D and
-        S = K_x (x) M_y + M_x (x) K_y in 2-D."""
-        return [D.T @ sp.diags_array(np.full(n - 1, self.dirichlet_scale * h))
-                @ D for D, (n, h) in zip(self.axis_differences, self.axes)]
+        axis, D_a its forward difference (n_a - 1, n_a) over h_a and s the
+        ``dirichlet_scale``: the line stiffness of the Dirichlet form."""
+        out = []
+        for n, h in self.axes:
+            D = sp.diags_array([-1.0 / h, 1.0 / h], offsets=[0, 1],
+                               shape=(n - 1, n))
+            out.append(D.T @ sp.diags_array(
+                np.full(n - 1, self.dirichlet_scale * h)) @ D)
+        return out
+
+    @cached_property
+    def dirichlet_stiffness(self):
+        """Sparse S (CSC) of the Dirichlet form, u^T S u = ``dirichlet_form``:
+        the Kronecker sum sum_a M_<a (x) K_a (x) M_>a of the
+        ``axis_stiffness`` over the ``axis_weights``, K_x in 1-D and
+        K_x (x) M_y + M_x (x) K_y in 2-D, which ``free_modes``
+        diagonalizes axis by axis."""
+        M = [sp.diags_array(m) for m in self.axis_weights]
+        return reduce(operator.add, [
+            reduce(sp.kron, M[:a] + [K] + M[a + 1:])
+            for a, K in enumerate(self.axis_stiffness)]).tocsc()
 
     @cached_property
     def time_stiffness(self) -> tuple:
@@ -255,7 +269,7 @@ class SpaceTimeGrid:
         with off-diagonals <= 0 and Q 1 = 0.  Kept for the latest eps only.
 
         Q is held in diagonal (DIA) storage, offsets ascending: 0, +-s_a
-        (the ``axis_edges`` strides) and +-n_space.  Each factor is banded,
+        (the ``axis_strides``) and +-n_space.  Each factor is banded,
         so each stored diagonal of a Kronecker product is the ``np.kron``
         of one stored diagonal of each factor.
         """
@@ -325,14 +339,13 @@ class SpaceTimeGrid:
         """
         sides = [self.product_sides(f) for f in sets]
         factors = []
-        for a, (n, h) in enumerate(self.axes):
+        for a, (n, _) in enumerate(self.axes):
             modes = []
             for side in (s[a] for s in sides):
                 key = (a, side.tobytes())
                 if key not in self._modes:
                     self._modes[key] = _weighted_modes(
-                        self.axis_stiffness[a],
-                        trapezoid_weights(np.full(n - 1, h)), side)
+                        self.axis_stiffness[a], self.axis_weights[a], side)
                 modes.append(self._modes[key])
             m = max(len(lam) for _, lam in modes)
             V, lam = np.zeros((len(modes), n, m)), np.ones((len(modes), m))
@@ -342,19 +355,11 @@ class SpaceTimeGrid:
             factors.append((V, lam))
         return factors
 
-    def gradient(self, values: np.ndarray) -> np.ndarray:
-        """G u on the trailing axes, each axis's ``axis_step`` on its edges
-        over h_a: (*lead, *space) -> (*lead, n_edges), G's rows in order."""
-        return np.concatenate([
-            self.axis_step(values, a)[..., e] / h
-            for a, ((_, e), (_, h)) in enumerate(zip(self.axis_edges,
-                                                     self.axes))], axis=-1)
-
     def dirichlet_form(self, a: np.ndarray, b: np.ndarray | None = None):
-        """sum_e W_e (G a)_e (G b)_e over the trailing spatial axes, with
-        b = a by default: shape (*lead, *space) -> lead.  Per axis, the
-        products of the ``axis_step`` of a and b against the
-        ``dirichlet_weights``, one matrix-vector product."""
+        """a^T S b per slice, S the ``dirichlet_stiffness``, over the
+        trailing spatial axes, with b = a by default: shape (*lead, *space)
+        -> lead.  Per axis, the products of the ``axis_step`` of a and b
+        against the ``dirichlet_weights``, one matrix-vector product."""
         form = 0.0
         for ax, w in enumerate(self.dirichlet_weights):
             step = self.axis_step(a, ax)
@@ -562,32 +567,6 @@ def trapezoid_weights(widths: np.ndarray) -> np.ndarray:
     c[:-1] += 0.5 * widths
     c[1:] += 0.5 * widths
     return c
-
-
-def edge_values(nodes: list, edges: list) -> np.ndarray:
-    """One value per row (edge) of the cell gradient G, in G's row order:
-    the edges along x, then along y, each block the C-ordered outer product
-    of ``edges[a]`` (one value per edge along axis a) and ``nodes[b]`` (one
-    value per node of axis b) on every other axis b."""
-    return np.concatenate([
-        reduce(np.multiply.outer, nodes[:a] + [e] + nodes[a + 1:]).ravel()
-        for a, e in enumerate(edges)])
-
-
-def cell_gradient(grid: SpaceTimeGrid) -> tuple:
-    """Sparse cell-gradient operator G on the C-ordered spatial nodes and
-    the true quadrature weight W of each of its rows (edges).
-
-    G stacks the ``axis_differences``: D_x in 1-D, kron(D_x, I) and
-    kron(I, D_y) in 2-D.  An edge's weight is its length times the
-    trapezoid weight across the other axis, so G^T diag(W) G is the lumped
-    stiffness matrix kron(K_x, M_y) + kron(M_x, K_y).
-    """
-    eyes = [sp.eye_array(n) for n, _ in grid.axes]
-    G = sp.vstack([reduce(sp.kron, eyes[:a] + [D] + eyes[a + 1:])
-                   for a, D in enumerate(grid.axis_differences)], format="csr")
-    lengths = [np.full(n - 1, h) for n, h in grid.axes]
-    return G, edge_values([trapezoid_weights(e) for e in lengths], lengths)
 
 
 def impose_pins(values: np.ndarray, grid: SpaceTimeGrid, data: BoundaryData) -> None:

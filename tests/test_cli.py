@@ -345,11 +345,14 @@ class TestSubcommands:
         assert rows[0] == "t,x,v1,v2"
         assert len(rows) - 1 == 21 * 17
 
-    def test_unconverged_minimize_is_1(self, tmp_path):
+    def test_unconverged_minimize_is_1(self, tmp_path, capsys):
+        # the command names its stage, as ``run`` names its failed stage
         starved = BASE_CFG.replace("max_iters = 1500", "max_iters = 0")
         code, out = self.run(tmp_path, "minimize", "--eps", "0.2",
                              "--beta", "10", cfg=starved)
         assert code == 1
+        assert "stage minimize(eps=0.2, beta=10) did not converge " \
+            "(stop: max_iters" in capsys.readouterr().out
         assert (out / "minimizer.csv").exists()
 
     def test_oracle_writes_parabolic_csv(self, tmp_path):

@@ -75,19 +75,20 @@ class TestBumpLattice:
         np.testing.assert_allclose(eta[[4, 2, 6, 0]], [1.0, 0.0, 0.0, 0.0],
                                    atol=1e-15)
         # the slope vanishes at the centre, here the midpoint of edge 4
-        _, slope = Bump(xc=0.5625, rx=0.25, tc=1.0, rt=0.5).space_parts(g)
+        _, (slope,) = Bump(xc=0.5625, rx=0.25, tc=1.0, rt=0.5).space_parts(g)
+        assert slope.shape == (g.nx + 1,)
         assert slope[4] == 0.0
         # slope peaks at 8/(3 sqrt 3) / rx in profile coordinates
-        _, d = b.space_parts(SpaceTimeGrid(1, 3999, 1.0, 11, T_R))
+        _, (d,) = b.space_parts(SpaceTimeGrid(1, 3999, 1.0, 11, T_R))
         assert np.max(np.abs(d)) <= 8.0 / (3.0 * np.sqrt(3.0)) / 0.25 + 1e-6
         assert b.support_measure == pytest.approx(0.5 * 1.0)
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_edge_slopes_match_gradient_of_nodal_bump(self, dim):
-        # the analytic slopes sit on G's rows: when every support edge is
-        # a node, G eta differs from them by at most the midpoint rule's
-        # h^2/24 max|eta'''| = h^2 / r^3 per axis; a misordered or
-        # transposed slope vector is off by O(1)
+        # the analytic slopes along each axis sit on its edges: when every
+        # support edge is a node, the edge gradient of eta differs from
+        # them by at most the midpoint rule's h^2/24 max|eta'''| = h^2 / r^3
+        # per axis; a misordered or transposed slope array is off by O(1)
         if dim == 1:
             g = SpaceTimeGrid(1, 63, 1.0, 11, T_R)
             b = Bump(xc=0.5, rx=0.25, tc=1.0, rt=0.5)
@@ -95,14 +96,14 @@ class TestBumpLattice:
             g = SpaceTimeGrid(2, 63, 1.0, 11, T_R, ny=47, Ly=0.9)
             b = Bump(xc=0.5, rx=0.25, tc=1.0, rt=0.5,
                      yc=24 * g.dy, ry=10 * g.dy)
-        eta, slope = b.space_parts(g)
+        eta, slopes = b.space_parts(g)
         assert eta.shape == g.space_shape
-        err = np.abs(g.gradient(eta) - slope)
-        n_x = (g.nx + 1) * int(np.prod(g.space_shape[1:]))   # x-edges
-        assert err[:n_x].max() <= g.dx**2 / b.rx**3
-        if dim == 2:
-            assert err[n_x:].max() <= g.dy**2 / b.ry**3
-        assert np.abs(slope).max() > 1.0
+        assert len(slopes) == dim
+        for a, (slope, r, (_, h)) in enumerate(zip(slopes, (b.rx, b.ry),
+                                                   g.axes)):
+            err = np.abs(g.edge_gradient(eta, a) - slope)
+            assert err.max() <= h**2 / r**3
+            assert np.abs(slope).max() > 1.0
 
 
 class TestWeakInequalities:
@@ -166,9 +167,9 @@ class TestWeakInequalities:
             eta = g.space_weights * np.outer(px, py)
             ex = np.outer(dprof((xm - b.xc) / b.rx) / b.rx, py)
             ey = np.outer(px, dprof((ym - b.yc) / b.ry) / b.ry)
-            W = g.dirichlet_operator[1]
-            ex *= W[:ex.size].reshape(ex.shape)
-            ey *= W[ex.size:].reshape(ey.shape)
+            Wx, Wy = g.edge_weights
+            ex *= Wx
+            ey *= Wy
             total = 0.0
             for j in range(len(taus)):
                 total += ct[j] * prof((taus[j] - b.tc) / b.rt) * (

@@ -11,9 +11,8 @@ from scipy.interpolate import interp1d
 from scipy.sparse.linalg import spsolve
 
 from wideseg.grid import (
-    FreeBlockInverse, SpaceTimeGrid, StateField, cell_gradient,
-    discrete_time_derivative, free_mask, impose_pins, resample_in_time,
-    trapezoid_weights,
+    FreeBlockInverse, SpaceTimeGrid, StateField, discrete_time_derivative,
+    free_mask, impose_pins, resample_in_time, trapezoid_weights,
 )
 from wideseg.model import BC_MODES, BoundaryData, SystemSpec, preset_v0
 from wideseg.optimizer import exact_metric
@@ -90,7 +89,7 @@ class TestOperators:
     def test_spatial_gradient_of_ramp(self):
         g = small_grid()
         vals = np.broadcast_to(g.x, (2, 11, 9))
-        gx = g.gradient(vals)
+        gx = g.edge_gradient(vals, 0)
         assert gx.shape == (2, 11, 8)
         np.testing.assert_allclose(gx, 1.0, rtol=1e-12)
 
@@ -98,9 +97,9 @@ class TestOperators:
         g = SpaceTimeGrid(2, 4, 1.0, 5, 20.0, ny=4, Ly=1.0)
         vals = np.zeros((1, 5) + g.space_shape)
         vals[..., :, :] = 2.0 * g.x[:, None] + 3.0 * g.y[None, :]
-        # G's rows: the x-edges, then the y-edges, each C-ordered
-        gx, gy = np.split(g.gradient(vals), [(g.nx + 1) * (g.ny + 2)], -1)
-        assert gy.shape == (1, 5, (g.nx + 2) * (g.ny + 1))
+        gx, gy = (g.edge_gradient(vals, a) for a in range(2))
+        assert gx.shape == (1, 5, g.nx + 1, g.ny + 2)
+        assert gy.shape == (1, 5, g.nx + 2, g.ny + 1)
         np.testing.assert_allclose(gx, 2.0, rtol=1e-12)
         np.testing.assert_allclose(gy, 3.0, rtol=1e-12)
 
@@ -135,70 +134,133 @@ GRIDS = {
 }
 
 
+def true_edge_weights(g):
+    """Each axis's true edge weights, from loops: the edge's length times
+    the trapezoid weight of its node on the other axis."""
+    def trap(n, h):
+        w = np.full(n, h)
+        w[0] = w[-1] = 0.5 * h
+        return w
+
+    (nx, hx), *rest = g.axes
+    if not rest:
+        return [np.full(nx - 1, hx)]
+    (ny, hy), = rest
+    wx, wy = trap(nx, hx), trap(ny, hy)
+    Wx = np.array([[hx * wy[j] for j in range(ny)] for _ in range(nx - 1)])
+    Wy = np.array([[wx[i] * hy for _ in range(ny - 1)] for i in range(nx)])
+    return [Wx, Wy]
+
+
 class TestCellGradient:
     @pytest.mark.parametrize("name", sorted(GRIDS))
-    def test_form_is_oracle_stiffness(self, name):
-        # with the true edge weights, G^T diag(W) G is the IMEX oracle's
-        # independently assembled stiffness matrix
-        g = GRIDS[name]
-        G, W = cell_gradient(g)
-        K = (G.T @ sp.diags_array(W) @ G).toarray()
-        np.testing.assert_allclose(K, _stiffness(g).toarray(),
-                                   rtol=1e-14, atol=1e-12)
+    @given(nx=st.integers(3, 12), ny=st.integers(3, 12),
+           Lx=st.floats(0.3, 3.0), Ly=st.floats(0.3, 3.0))
+    @settings(max_examples=20, deadline=None)
+    def test_form_is_oracle_stiffness(self, name, nx, ny, Lx, Ly):
+        # over the true weights, the Kronecker sum of the per-axis factors
+        # is the IMEX oracle's independently assembled P1 stiffness, also
+        # on anisotropic, non-dyadic 2-D grids
+        g = SpaceTimeGrid(GRIDS[name].dim, nx, Lx, 5, 20.0, ny=ny, Ly=Ly)
+        K = (g.dirichlet_stiffness / g.dirichlet_scale).toarray()
+        want = _stiffness(g).toarray()
+        np.testing.assert_allclose(K, want, rtol=1e-14,
+                                   atol=1e-14 * np.abs(want).max())
 
     def test_gradient_of_plane(self):
         g = GRIDS["2d"]
         vals = np.broadcast_to(2.0 * g.x[:, None] + 3.0 * g.y[None, :],
                                (2, 5) + g.space_shape)
-        gu = g.gradient(vals)
-        n_x = (g.nx + 1) * (g.ny + 2)
-        assert gu.shape == (2, 5, n_x + (g.nx + 2) * (g.ny + 1))
-        np.testing.assert_allclose(gu[..., :n_x], 2.0, rtol=1e-12)
-        np.testing.assert_allclose(gu[..., n_x:], 3.0, rtol=1e-12)
+        gx, gy = (g.edge_gradient(vals, a) for a in range(2))
+        assert gx.shape == (2, 5, g.nx + 1, g.ny + 2)
+        assert gy.shape == (2, 5, g.nx + 2, g.ny + 1)
+        np.testing.assert_allclose(gx, 2.0, rtol=1e-12)
+        np.testing.assert_allclose(gy, 3.0, rtol=1e-12)
 
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_dirichlet_weights(self, name):
-        # the functional's weights are the true ones in 1-D and half of
-        # them in 2-D (the known 2-D defect, see ROADMAP)
+        # the functional's edge weights are the true ones in 1-D and half
+        # of them in 2-D (the known 2-D defect, see ROADMAP); the stride
+        # weights are W_a / h_a^2 on the edges and 0 on the wrapping pairs
         g = GRIDS[name]
-        _, W_true = cell_gradient(g)
-        _, W = g.dirichlet_operator
         factor = 1.0 if g.dim == 1 else 0.5
-        np.testing.assert_array_equal(W, factor * W_true)
+        for a, (W, W_true, w, (_, h)) in enumerate(zip(
+                g.edge_weights, true_edge_weights(g), g.dirichlet_weights,
+                g.axes)):
+            np.testing.assert_array_equal(W, factor * W_true)
+            w = w.reshape(g.space_shape)
+            np.testing.assert_array_equal(w[g.edges(a)], W / (h * h))
+            assert np.count_nonzero(w) == W.size
+
+    def test_dirichlet_scale_is_the_one_site(self, monkeypatch):
+        # ROADMAP item 6: with the 2-D half patched to 1 on a fresh grid,
+        # S is the true stiffness, u = x has Dirichlet term |Omega| = 1
+        # on the unit square, and the spatial modes and the weak
+        # pairings' edge weights double with it
+        def grid():
+            return SpaceTimeGrid(2, 9, 1.0, 5, 20.0, ny=6, Ly=1.0)
+
+        sets = np.ones((1,) + grid().space_shape, dtype=bool)
+        half = grid()
+        half_modes = half.free_modes(sets)
+        assert half.dirichlet_form(half.x_field()) == pytest.approx(
+            0.5, rel=1e-14)
+        monkeypatch.setattr(SpaceTimeGrid, "dirichlet_scale",
+                            property(lambda self: 1.0))
+        g = grid()
+        want = _stiffness(g).toarray()
+        np.testing.assert_allclose(g.dirichlet_stiffness.toarray(), want,
+                                   rtol=0, atol=1e-14 * np.abs(want).max())
+        assert g.dirichlet_form(g.x_field()) == pytest.approx(1.0, rel=1e-14)
+        for (_, lam), (_, lam_half) in zip(g.free_modes(sets), half_modes):
+            np.testing.assert_allclose(lam, 2.0 * lam_half, rtol=1e-13,
+                                       atol=1e-14 * lam.max())
+        for W, W_half in zip(g.edge_weights, half.edge_weights):
+            np.testing.assert_array_equal(W, 2.0 * W_half)
 
 
 class TestDirichletForm:
     """The form from stride differences on the flat field, against the
-    sparse cell gradient and its weights: sum_e W_e (G a)_e (G b)_e."""
+    per-axis differences of ``np.diff`` under the true weights, and against
+    a^T S b per slice."""
 
     @staticmethod
-    def sparse_gradient(g, v):
-        G, _ = g.dirichlet_operator
-        return (G @ v.reshape(-1, G.shape[1]).T).T.reshape(
-            v.shape[:2] + (-1,))
+    def axis_gradients(g, v):
+        return [np.diff(v, axis=v.ndim - g.dim + a) / h
+                for a, (_, h) in enumerate(g.axes)]
 
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_stride_form_is_cell_gradient_form(self, name):
         g = GRIDS[name]
-        _, W = g.dirichlet_operator
+        W = [g.dirichlet_scale * w for w in true_edge_weights(g)]
+        S = g.dirichlet_stiffness
         a, b = np.random.default_rng(11).standard_normal(
             (2, 3, g.nt) + g.space_shape)
-        Ga, Gb = (self.sparse_gradient(g, v) for v in (a, b))
-        for got, gb in ((g.dirichlet_form(a), Ga),
-                        (g.dirichlet_form(a, b), Gb)):
+        Ga, Gb = (self.axis_gradients(g, v) for v in (a, b))
+        fa, fb = (v.reshape(-1, S.shape[0]) for v in (a, b))
+        space = tuple(range(-g.dim, 0))
+        for got, gb, Sv in ((g.dirichlet_form(a), Ga, fa @ S),
+                            (g.dirichlet_form(a, b), Gb, fb @ S)):
             assert got.shape == (3, g.nt)
+            terms = [ga * gb_a * w for ga, gb_a, w in zip(Ga, gb, W)]
             # relative to the sum of the terms' sizes: a b can cancel
-            scale = np.abs(Ga * gb) @ W
-            assert np.max(np.abs(got - (Ga * gb) @ W) / scale) <= 1e-14
+            scale = sum(np.abs(t).sum(axis=space) for t in terms)
+            want = sum(t.sum(axis=space) for t in terms)
+            assert np.max(np.abs(got - want) / scale) <= 1e-14
+            aSb = np.einsum("in,in->i", fa, Sv).reshape(got.shape)
+            assert np.max(np.abs(got - aSb) / scale) <= 1e-14
 
     @pytest.mark.parametrize("name", sorted(GRIDS))
     def test_gradient_is_cell_gradient(self, name):
+        # the edge gradient along each axis is np.diff over h_a
         g = GRIDS[name]
         v = np.random.default_rng(12).standard_normal(
             (2, g.nt) + g.space_shape)
-        want = self.sparse_gradient(g, v)
-        np.testing.assert_allclose(g.gradient(v), want, rtol=0,
-                                   atol=1e-14 * np.abs(want).max())
+        for a, want in enumerate(self.axis_gradients(g, v)):
+            got = g.edge_gradient(v, a)
+            assert got.shape == want.shape
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-14 * np.abs(want).max())
 
 
 class TestAxisStiffness:
@@ -206,17 +268,14 @@ class TestAxisStiffness:
     def test_kronecker_sum_is_dirichlet_stiffness(self, name):
         # the per-axis factors of the spatial modes, summed over the other
         # axes' trapezoid weights, are the functional's own S with its
-        # 2-D half, on every node: exactly in 1-D, where K_x is S itself
+        # 2-D half, on every node and bit for bit
         g = GRIDS[name]
         M = [np.diag(trapezoid_weights(np.full(n - 1, h))) for n, h in g.axes]
         terms = [reduce(np.kron, M[:a] + [K.toarray()] + M[a + 1:])
                  for a, K in enumerate(g.axis_stiffness)]
-        S = g.dirichlet_stiffness.toarray()
-        if g.dim == 1:
-            np.testing.assert_array_equal(terms[0], S)
-        else:
-            np.testing.assert_allclose(sum(terms), S, rtol=0,
-                                       atol=1e-14 * abs(S).max())
+        assert g.dirichlet_stiffness.format == "csc"
+        np.testing.assert_array_equal(sum(terms),
+                                      g.dirichlet_stiffness.toarray())
 
 
 class TestQuadraticOperator:
