@@ -10,7 +10,7 @@ The Dirichlet term is defined by per-axis factors alone: the trapezoid
 weights M_a (``axis_weights``), the line stiffness K_a (``axis_stiffness``)
 and the edge weights W_a (``edge_weights``).  Its matrix S
 (``dirichlet_stiffness``) is their Kronecker sum, the one that
-``free_modes`` diagonalizes.
+``free_modes`` diagonalizes with eps and a per-axis shift.
 
 The functional's kernels are whole-field passes: ``axis_step`` takes each
 axis's differences on the flat C-ordered field at the axis's stride,
@@ -64,15 +64,13 @@ class SpaceTimeGrid:
     tail_mass: float = field(init=False)
     tail_ok: bool = field(init=False)
     # (eps, Q) of the latest quadratic_operator and slice_operator calls;
-    # pinned masks by mode; per-axis modes by axis and the bytes of a side
+    # pinned masks by mode
     _quadratic: tuple = field(init=False, default=None, repr=False,
                               compare=False)
     _slice: tuple = field(init=False, default=None, repr=False,
                           compare=False)
     _pinned: dict = field(init=False, default_factory=dict, repr=False,
                           compare=False)
-    _modes: dict = field(init=False, default_factory=dict, repr=False,
-                         compare=False)
 
     def __post_init__(self) -> None:
         if self.dim not in (1, 2):
@@ -323,30 +321,30 @@ class SpaceTimeGrid:
         return (sides if np.array_equal(f, reduce(np.multiply.outer, sides))
                 else None)
 
-    def free_modes(self, sets: np.ndarray) -> list:
-        """The modes of S_f V_f = M_f V_f diag(lam), V_f^T M_f V_f = I, for
-        S the ``dirichlet_stiffness`` and M the spatial weights restricted
-        to each spatial set f of the stack ``sets`` (s, *space), every one
-        a product (``product_sides``), as one factor (V_a, lam_a) per axis.
-        There S_f is the Kronecker sum of the ``axis_stiffness`` restricted
-        to each side, so the modes of f are V_x (x) V_y with lam the sums
-        lam_x + lam_y, C-ordered.  V_a (s, n_a, m_a) and lam_a (s, m_a)
-        stack the sets' modes, each padded with zero columns (lam = 1) to
-        the most any set has on that axis.
+    def free_modes(self, sets: np.ndarray, eps: float,
+                   shifts: list) -> list:
+        """The modes of P_f V_f = M_f V_f diag(lam), V_f^T M_f V_f = I, for
+        P = eps S + M diag(sigma) restricted to each spatial set f of the
+        stack ``sets`` (s, *space), every one a product (``product_sides``),
+        as one factor (V_a, lam_a) per axis: S the ``dirichlet_stiffness``,
+        M the spatial weights and sigma the sum sigma_x (+) sigma_y of the
+        per-axis profiles ``shifts`` (one (s, n_a) array per axis, one row
+        per set).  There P_f is the Kronecker sum of eps K_a + M_a
+        diag(sigma_a), K_a the ``axis_stiffness`` and M_a the
+        ``axis_weights``, restricted to each side, so the modes of f are
+        V_x (x) V_y with lam the sums lam_x + lam_y, C-ordered.  V_a (s,
+        n_a, m_a) and lam_a (s, m_a) stack the sets' modes, each padded
+        with zero columns (lam = 1) to the most any set has on that axis.
 
-        Each side's modes are cached per axis and side, so a set's modes
-        take O(nx^2 + ny^2) memory and no dense matrix of the spatial nodes.
+        One dense ``eigh`` per axis and set, of at most n_a nodes, so no
+        dense matrix of the spatial nodes.
         """
         sides = [self.product_sides(f) for f in sets]
         factors = []
         for a, (n, _) in enumerate(self.axes):
-            modes = []
-            for side in (s[a] for s in sides):
-                key = (a, side.tobytes())
-                if key not in self._modes:
-                    self._modes[key] = _weighted_modes(
-                        self.axis_stiffness[a], self.axis_weights[a], side)
-                modes.append(self._modes[key])
+            K, w = eps * self.axis_stiffness[a].toarray(), self.axis_weights[a]
+            modes = [_weighted_modes(K + np.diag(w * shift), w, side[a])
+                     for side, shift in zip(sides, shifts[a])]
             m = max(len(lam) for _, lam in modes)
             V, lam = np.zeros((len(modes), n, m)), np.ones((len(modes), m))
             for i, (V_i, lam_i) in enumerate(modes):
@@ -393,83 +391,85 @@ def free_rows(grid: SpaceTimeGrid, free: np.ndarray) -> tuple:
 
 
 class FreeBlockInverse:
-    """Exact inverse of P = Q + 2 sigma diag(node mass) on the nodes that
-    ``free`` marks, for Q the ``quadratic_operator(eps)`` and sigma >= 0.
+    """Exact inverse of P = Q + 2 diag(node mass sigma_i) on the nodes
+    that ``free`` marks, for Q the ``quadratic_operator(eps)`` and sigma_i
+    >= 0 a shift profile of each species i that is constant in time: the
+    sum sigma_x (+) sigma_y of its per-axis profiles ``shifts``, one (k,
+    n_a) array per axis (``optimizer.penalty_shift``).
 
     ``free`` is a boolean mask in the field's shape that is a tensor
     product for each species: species i moves (t >= t0) x f_i, t0 and the
     spatial set f_i (its row at t0) from ``free_rows``, and f_i is itself
     a product of one side per axis (``product_sides``).  On such a set
 
-        P = 2 [K_f (x) M_f + C_f (x) (eps S_f + sigma M_f)].
+        P_i = 2 [K_f (x) M_f + C_f (x) (eps S_f + M_f diag(sigma_i))].
 
     A (k, *space) mask (``free.ndim == grid.dim + 1``) is the one-slice
-    case: K = 0, C = 1, P = 2 (eps S_f + sigma M_f), M_f the weights, and
-    Q the ``slice_operator(eps)``.
+    case: K = 0, C = 1, P_i = 2 (eps S_f + M_f diag(sigma_i)), M_f the
+    weights, and Q the ``slice_operator(eps)``.
 
-    In the spatial modes V of ``free_modes`` this is one tridiagonal matrix
-    in time per mode, 2 [K_f + (eps lam_m + sigma) C_f]: the fast
-    diagonalization method (Lynch, Rice & Thomas, Numer. Math. 6, 1964).
-    They are factored once, as one block tridiagonal system in mode-major
-    order (LAPACK ``dpttrf``; each is symmetric positive definite), the
-    modes separated by zero off-diagonals.  The modes come as one factor
-    per axis, applied to each time slice one axis at a time.  A set that
-    every species shares is factored once and solved with one right-hand
-    side per species; per-species sets stack their factors and their
-    systems, species after species, into one with one right-hand side.
+    In the spatial modes V of ``free_modes``, whose eigenvalues lam hold
+    eps and the shift, this is one tridiagonal matrix in time per mode,
+    2 [K_f + lam_m C_f]: the fast diagonalization method (Lynch, Rice &
+    Thomas, Numer. Math. 6, 1964).  The modes differ per species, so the
+    systems of all species stack, species after species, into one block
+    tridiagonal system in mode-major order, factored once (LAPACK
+    ``dpttrf``; each is symmetric positive definite), the modes separated
+    by zero off-diagonals.  The modes come as one factor per axis, applied
+    to each time slice one axis at a time.
     """
 
-    def __init__(self, grid: SpaceTimeGrid, eps: float, sigma: float,
+    def __init__(self, grid: SpaceTimeGrid, eps: float, shifts: list,
                  free: np.ndarray):
         if free.ndim == grid.dim + 1:
             k_diag, k_off, c = np.zeros(1), np.zeros(0), np.ones(1)
             self._Q = grid.slice_operator(eps)
-            self._mass = grid.space_weights.ravel()
         else:
             (k_diag, k_off), c = grid.time_stiffness, grid.node_time_weights
             self._Q = grid.quadratic_operator(eps)
-            self._mass = grid.node_weights.ravel()
         t0, F = free_rows(grid, free)
-        rows = F[:, t0]
-        self.sigma, self.t0, self._nt = sigma, t0, len(c)
-        # a set every species shares is one system with a right-hand side
-        # per species; otherwise the sets' systems stack, species-major
-        shared = (rows == rows[0]).all()
-        self._columns = len(rows) if shared else 1
-        factors = grid.free_modes(rows[:1] if shared else rows)
+        self.t0, self._c = t0, c
+        # the shift times the spatial weight at each node, (k, n_space)
+        self._shift_mass = _outer_sum(shifts) * grid.space_weights.ravel()
+        factors = grid.free_modes(F[:, t0], eps, shifts)
         self._Vt = [np.swapaxes(V, -1, -2) for V, _ in factors]
         self._shape = tuple(Vt.shape[-1] for Vt in self._Vt)
-        lam = reduce(lambda p, q: (p[:, :, None] + q[:, None]).reshape(
-            len(p), -1), [lam for _, lam in factors]).ravel()
-        # K_t restricted to t >= t0
-        diag = 2.0 * (k_diag[t0:] + (eps * lam[:, None] + sigma) * c[t0:])
+        lam = _outer_sum([lam for _, lam in factors]).ravel()
+        # 2 [K_t + lam C_t] restricted to t >= t0, built and factored in
+        # place
+        diag = np.multiply.outer(lam, c[t0:])
+        diag += k_diag[t0:]
+        diag *= 2.0
         off = np.zeros(diag.shape)
-        off[:, :-1] = 2.0 * k_off[t0:]
-        self._d, self._e, info = dpttrf(diag.ravel(), off.ravel()[:-1])
+        np.multiply(k_off[t0:], 2.0, out=off[:, :-1])
+        self._d, self._e, info = dpttrf(diag.reshape(-1),
+                                        off.reshape(-1)[:-1],
+                                        overwrite_d=1, overwrite_e=1)
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrf failed with info {info}")
-        # modal coefficients, mode-major: (k, modes, nt - t0); read as a
-        # Fortran array it is the right-hand side with ``_columns`` columns
-        self._b = np.empty((len(rows), math.prod(
-            Vt.shape[-2] for Vt in self._Vt), len(c) - t0))
+        # the shape of the modal coefficients, mode-major
+        self._modal = (len(F), math.prod(Vt.shape[-2] for Vt in self._Vt),
+                       len(c) - t0)
 
     def solve(self, r: np.ndarray, out: np.ndarray | None = None):
         """P^-1 r on the free set and 0 elsewhere, for r in the shape of
         the mask; ``out``, when given, must be C-contiguous."""
-        k, nt, t0 = len(r), self._nt, self.t0
+        k, nt, t0 = len(r), len(self._c), self.t0
         if out is None:
             out = np.empty(r.shape)
         # to the modes, one factor at a time from the last: each product
         # contracts the trailing spatial axis and puts its modes first, so
-        # the first factor's leaves the coefficients mode-major, time last
+        # the first factor's leaves the coefficients mode-major, time last,
+        # in ``b``, the right-hand side read flat.  It lives for one call
+        # only, so the loop does not hold it through the functional's calls
+        b = np.empty(self._modal)
         Z = np.reshape(r, (k, nt, -1))[:, t0:]
         for a in reversed(range(len(self._Vt))):
             Vt = self._Vt[a]
             Z = np.matmul(
                 Vt, Z.reshape(k, -1, Vt.shape[-1]).transpose(0, 2, 1),
-                out=None if a else self._b.reshape(k, Vt.shape[-2], -1))
-        X, _ = dpttrs(self._d, self._e, self._b.reshape(self._columns, -1).T,
-                      overwrite_b=True)
+                out=None if a else b.reshape(k, Vt.shape[-2], -1))
+        X, _ = dpttrs(self._d, self._e, b.reshape(-1, 1), overwrite_b=True)
         # and back, the first factor first, the last one into ``out``
         Z = X.T
         *head, last = self._Vt
@@ -486,12 +486,11 @@ class FreeBlockInverse:
 
     def quadratic(self, d: np.ndarray) -> float:
         """d . P d for a field d that is 0 off the free set."""
-        dd = d.reshape(len(d), -1)
-        q = sum(float(np.dot(di, self._Q @ di)) for di in dd)
-        if self.sigma:
-            q += 2.0 * self.sigma * float(np.einsum(
-                "kn,n,kn->", dd, self._mass, dd))
-        return q
+        q = sum(float(np.dot(di, self._Q @ di))
+                for di in d.reshape(len(d), -1))
+        dd = d.reshape(len(d), len(self._c), -1)
+        return q + 2.0 * float(np.einsum("kts,t,ks,kts->", dd, self._c,
+                                         self._shift_mass, dd))
 
 
 @dataclass
@@ -541,17 +540,23 @@ def resample_in_time(times: np.ndarray, values: np.ndarray,
 
 def _weighted_modes(K, m: np.ndarray, free: np.ndarray) -> tuple:
     """(V, lam) with K_f V_f = M_f V_f diag(lam) and V_f^T M_f V_f = I, for
-    the sparse semidefinite K and the weights m, M = diag(m), restricted to
+    the dense semidefinite K and the weights m, M = diag(m), restricted to
     the boolean set ``free`` of their nodes.  V is V_f padded with zero
     rows outside ``free``, shape (len(free), |free|).  Dense ``eigh`` of
     M_f^-1/2 K_f M_f^-1/2."""
-    S = K.toarray()[np.ix_(free, free)]
     h = 1.0 / np.sqrt(m[free])
-    lam, U = np.linalg.eigh(h[:, None] * S * h)
+    lam, U = np.linalg.eigh(h[:, None] * K[np.ix_(free, free)] * h)
     V = np.zeros((len(free), len(lam)))
     V[free] = h[:, None] * U
     # K_f is semidefinite: a rounded eigenvalue below 0 means 0
     return V, np.maximum(lam, 0.0)
+
+
+def _outer_sum(parts: list) -> np.ndarray:
+    """The Kronecker sums p_x (+) p_y of the rows of one (s, n_a) array
+    per axis, C-ordered: shape (s, prod n_a)."""
+    return reduce(lambda p, q: (p[:, :, None] + q[:, None]).reshape(
+        len(p), -1), parts)
 
 
 def cell_average(values: np.ndarray) -> np.ndarray:

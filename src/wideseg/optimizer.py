@@ -8,21 +8,22 @@ of the nodes that move alone, with natural step 1 either way:
 
 - Exactly where that mask is (t >= t0) x one product spatial set (the
   outer product of its sides on the axes) for each species, the exact
-  inverse of Q + 2 sigma diag(mass) on it, ``grid.FreeBlockInverse``: Q
-  the functional's kinetic and Dirichlet form, 2 sigma the median
-  penalty curvature of the start (``penalty_shift``).  Q is a Kronecker
-  sum there, and the fast diagonalization method inverts it exactly.
-  Every penalty rung (no support) qualifies, so does a refine whose
-  frozen partition is the same at every time slice (every 1-D set is a
-  product; s1's 2-D parts are x-halves), and so does every stationary
-  solve of ``oracle.minimize_elliptic`` (the one-slice case, K = 0).
-  At the penalty rungs' minimizers fewer than 0.1% of the free entries
-  sit on a bound, so a direction that knows the curvature pays: on the
-  1-D desk ladder they take 8-91 iterations against 209-403 in the mass
-  metric, and the s1 stationary solves 1-101 against 162-319.  A refine
-  (beta 0, zero reactions) minimizes that quadratic form itself, and its
-  off-diagonals are <= 0, so its first step lands on the minimizer
-  inside the box: 1 iteration against 162-231 on s1.
+  inverse of Q + 2 diag(mass sigma_i) on it, ``grid.FreeBlockInverse``: Q
+  the functional's kinetic and Dirichlet form, sigma_i a profile per
+  species, constant in time, from the penalty curvature of the start
+  (``penalty_shift``).  Q plus such a shift is a Kronecker sum there, and
+  the fast diagonalization method inverts it exactly.  Every penalty rung
+  (no support) qualifies, so does a refine whose frozen partition is the
+  same at every time slice (every 1-D set is a product; s1's 2-D parts
+  are x-halves), and so does every stationary solve of
+  ``oracle.minimize_elliptic`` (the one-slice case, K = 0).  At the
+  penalty rungs' minimizers fewer than 0.1% of the free entries sit on a
+  bound, so a direction that knows the curvature pays: on the 1-D desk
+  ladder they take 7-11 iterations against 209-403 in the mass metric,
+  and the s1 stationary solves 1-11 against 162-319.  A refine (beta 0,
+  zero reactions) minimizes that quadratic form itself, and its
+  off-diagonals are <= 0, so its first step lands on the minimizer inside
+  the box: 1 iteration against 162-231 on s1.
 - ``InverseMass``, P = L diag(mass), on every other mask (a partition
   that moves in time or a 2-D part that is not a product) and on an
   empty one: the node quadrature mass scaled by the curvature bound L,
@@ -234,6 +235,8 @@ def projected_bb(x0, value_fn, grad_fn, mass, cfg: OptimizerConfig,
     inv_mass = np.divide(1.0, mass, out=np.zeros(x.shape), where=mass > 0)
     if precond is None:
         precond = InverseMass(mass, inv_mass, lipschitz)
+    # only InverseMass reads the mass from here on
+    del mass
 
     J = value_fn(x)
     history = [J]
@@ -344,30 +347,54 @@ def curvature_bound(grid: SpaceTimeGrid, spec: SystemSpec, eps: float,
     return L
 
 
-def penalty_shift(x0: np.ndarray, spec: SystemSpec, eps: float,
-                  beta: float, held: np.ndarray) -> float:
-    """sigma of a rung's preconditioner Q + 2 sigma diag(mass): the shift
-    2 sigma is the median, over the entries of the start ``x0`` that
-    ``held`` leaves free, of the penalty Hessian diagonal per unit mass,
-    2 beta eps (A x0^2)_i; 0 at beta 0.  ``held`` masks the entries that
-    do not move, in the shape of x0 (k, ...) or of one species (the pins,
-    shared by all).  On the 1-D desk ladder rung (0.2, 1e4) takes 88
-    iterations with it and 241 without."""
+def penalty_shift(grid: SpaceTimeGrid, spec: SystemSpec, eps: float,
+                  beta: float, x0: np.ndarray, free: np.ndarray) -> list:
+    """The shift profiles sigma_i of a rung's preconditioner Q + 2
+    diag(mass sigma_i), constant in time, as one (k, n_a) array per
+    spatial axis a (``grid.FreeBlockInverse``), for a ``free`` mask that
+    ``exact_metric`` accepts; all 0 at beta 0.
+
+    At each spatial node of species i's free set, p_i is the median over
+    the free slices (t >= t0, ``grid.free_rows``) of beta eps (A x0^2)_i,
+    half the penalty Hessian diagonal per unit mass at the start; in the
+    one-slice case it is that value itself.  It is large on the other
+    species' region and about 0 on species i's own.  The axis profiles
+    enter as the sum sigma_x (+) sigma_y, which keeps eps S + M diag(sigma)
+    a Kronecker sum: sigma_a is the median of p_i over the other axes,
+    less (1 - 1/dim) times the median of p_i over the whole set, and at
+    least 0, all medians over the free nodes.  In 1-D that is p_i itself;
+    in 2-D it is exact for a p_i that varies along x alone, wherever p_i is
+    at least half its median.  On the 1-D desk ladder rung (0.2, 1e4)
+    takes 11 iterations with it, 88 with one median over all free
+    entries and 241 without a shift."""
+    t0, F = gridmod.free_rows(grid, free)
+    shifts = [np.zeros((len(F), n)) for n, _ in grid.axes]
     if beta == 0.0:
-        return 0.0
-    h = np.tensordot(spec.A, x0 * x0, axes=1)
-    h = h[~np.broadcast_to(held, h.shape)]
-    return float(beta * eps * np.median(h, overwrite_input=True))
+        return shifts
+    h = np.tensordot(spec.A, np.square(x0), axes=1).reshape(F.shape)
+    p = np.median(h[:, t0:], axis=1, overwrite_input=True)
+    p *= beta * eps
+    for i, f in enumerate(F[:, t0]):
+        if not f.any():
+            continue
+        sides = grid.product_sides(f)
+        B = p[i].reshape(grid.space_shape)[np.ix_(*sides)]
+        m = (1.0 - 1.0 / grid.dim) * np.median(B)
+        for a, side in enumerate(sides):
+            other = tuple(b for b in range(grid.dim) if b != a)
+            shifts[a][i, side] = np.maximum(np.median(B, axis=other) - m,
+                                            0.0)
+    return shifts
 
 
 def exact_metric(grid: SpaceTimeGrid, spec: SystemSpec, eps: float,
                  beta: float, x0: np.ndarray, free: np.ndarray):
     """The metric of a minimization from ``x0`` that moves the nodes
     ``free`` marks, a (k, nt, *space) or one-slice (k, *space) mask: the
-    ``grid.FreeBlockInverse``, sigma from ``penalty_shift``, when each
-    species moves one spatial set at every slice from ``grid.free_rows``'
-    t0 on (per-node counts tell, writing no field) and that set is a
-    product (``grid.product_sides``), and None, which leaves
+    ``grid.FreeBlockInverse``, its shift profiles from ``penalty_shift``,
+    when each species moves one spatial set at every slice from
+    ``grid.free_rows``' t0 on (per-node counts tell, writing no field) and
+    that set is a product (``grid.product_sides``), and None, which leaves
     ``projected_bb`` its ``InverseMass``, otherwise and for an empty set."""
     t0, F = gridmod.free_rows(grid, free)
     moves = F[:, t0:].sum(axis=1)
@@ -375,8 +402,8 @@ def exact_metric(grid: SpaceTimeGrid, spec: SystemSpec, eps: float,
             moves, (F.shape[1] - t0) * F[:, t0]) or any(
             grid.product_sides(f) is None for f in F[:, t0]):
         return None
-    sigma = penalty_shift(x0, spec, eps, beta, ~free)
-    return gridmod.FreeBlockInverse(grid, eps, sigma, free)
+    shifts = penalty_shift(grid, spec, eps, beta, x0, free)
+    return gridmod.FreeBlockInverse(grid, eps, shifts, free)
 
 
 def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
@@ -400,11 +427,11 @@ def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
         if init != "competitor":
             raise ValueError(f"unknown init {init!r}")
         init = competitor_field(data, grid, spec)
-    mass = node_mass(grid, spec)
-    mass[:, grid.pinned(data)] = 0.0
+    free = np.broadcast_to(~grid.pinned(data),
+                           (spec.k, grid.nt) + grid.space_shape)
     x0 = np.clip(init.values, 0.0, 1.0)
     if support is not None:
-        mass[~support] = 0.0
+        free = free & support
         x0[~support] = 0.0
     gridmod.impose_pins(x0, grid, data)
 
@@ -419,10 +446,11 @@ def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
 
     # the time stencil's 8 / dt^2 plus the spatial and penalty bounds
     L = curvature_bound(grid, spec, eps, beta, 8.0 / grid.dt**2)
-    free = mass > 0.0
     precond = exact_metric(grid, spec, eps, beta, x0, free)
-    x, info = projected_bb(x0, value_fn, grad_fn, mass, cfg, L, change_fn,
-                           precond)
+    # the node mass, 0 where held, goes to the loop alone, which frees it
+    # once its metric is set
+    x, info = projected_bb(x0, value_fn, grad_fn, free * grid.node_weights,
+                           cfg, L, change_fn, precond)
     out_field = StateField(x, grid, spec)
     return OptimizeResult(
         field=out_field,

@@ -202,7 +202,8 @@ class TestCellGradient:
 
         sets = np.ones((1,) + grid().space_shape, dtype=bool)
         half = grid()
-        half_modes = half.free_modes(sets)
+        zero = shifts_of(half, 1, 0.0)
+        half_modes = half.free_modes(sets, 1.0, zero)
         assert half.dirichlet_form(half.x_field()) == pytest.approx(
             0.5, rel=1e-14)
         monkeypatch.setattr(SpaceTimeGrid, "dirichlet_scale",
@@ -212,7 +213,8 @@ class TestCellGradient:
         np.testing.assert_allclose(g.dirichlet_stiffness.toarray(), want,
                                    rtol=0, atol=1e-14 * np.abs(want).max())
         assert g.dirichlet_form(g.x_field()) == pytest.approx(1.0, rel=1e-14)
-        for (_, lam), (_, lam_half) in zip(g.free_modes(sets), half_modes):
+        for (_, lam), (_, lam_half) in zip(g.free_modes(sets, 1.0, zero),
+                                           half_modes):
             np.testing.assert_allclose(lam, 2.0 * lam_half, rtol=1e-13,
                                        atol=1e-14 * lam.max())
         for W, W_half in zip(g.edge_weights, half.edge_weights):
@@ -321,9 +323,27 @@ class TestQuadraticOperator:
         assert g.quadratic_operator(0.1) is not Q1
 
 
+def shifts_of(g, k, sigma, seed=3):
+    """Per-axis shift profiles of k species, one (k, n_a) array per axis:
+    sigma along x and 0 along y, a constant sigma at every node, or for
+    ``"varying"`` a different random profile per species and axis."""
+    if sigma == "varying":
+        rng = np.random.default_rng(seed)
+        return [rng.uniform(0.0, 5.0, (k, n)) for n, _ in g.axes]
+    return [np.full((k, n), sigma if a == 0 else 0.0)
+            for a, (n, _) in enumerate(g.axes)]
+
+
+def node_shift(shifts, i):
+    """Species i's shift at every spatial node: the sum of its axis
+    profiles, in the spatial shape."""
+    return reduce(np.add.outer, [s[i] for s in shifts])
+
+
 class TestFreeBlockInverse:
-    """The fast-diagonalization inverse of Q + 2 sigma diag(node mass) on
-    the free nodes, against a sparse direct solve of the same block."""
+    """The fast-diagonalization inverse of Q + 2 diag(node mass sigma_i)
+    on the free nodes, sigma_i each species' shift profile, against a
+    sparse direct solve of the same block."""
 
     SOLVE_GRIDS = {
         "1d": SpaceTimeGrid(1, 9, 1.0, 13, 20.0),
@@ -331,13 +351,18 @@ class TestFreeBlockInverse:
     }
 
     @staticmethod
-    def reference(g, data, eps, sigma, r, spatial=None):
-        """spsolve of P restricted to each species' free nodes: the
+    def operator(g, eps, shifts, i):
+        """Species i's P = Q + 2 diag(node mass sigma_i), CSR."""
+        mass = g.node_weights * node_shift(shifts, i)
+        return (g.quadratic_operator(eps)
+                + 2.0 * sp.diags_array(mass.ravel())).tocsr()
+
+    def reference(self, g, data, eps, shifts, r, spatial=None):
+        """spsolve of each species' P restricted to its free nodes: the
         unpinned nodes, within its row of ``spatial`` when given."""
-        P = (g.quadratic_operator(eps)
-             + 2.0 * sigma * sp.diags_array(g.node_weights.ravel())).tocsr()
         out = np.zeros(r.shape)
         for i, (ri, oi) in enumerate(zip(r, out)):
+            P = self.operator(g, eps, shifts, i)
             free = free_mask(g, data)
             if spatial is not None:
                 free &= spatial[i]
@@ -347,16 +372,19 @@ class TestFreeBlockInverse:
                                                ri.reshape(-1)[free])
         return out
 
-    @pytest.mark.parametrize("sigma", [0.0, 2.5])
+    @pytest.mark.parametrize("sigma", [0.0, 2.5, "varying"])
     @pytest.mark.parametrize("mode", BC_MODES)
     @pytest.mark.parametrize("name", ["1d", "2d"])
     def test_inverts_free_block(self, name, mode, sigma):
+        # a set every species shares, under constant or per-species
+        # profiles
         g = self.SOLVE_GRIDS[name]
         data = BoundaryData.make(np.zeros((3,) + g.space_shape), mode)
         r = np.random.default_rng(4).normal(size=(3, g.nt) + g.space_shape)
         free = np.broadcast_to(free_mask(g, data), r.shape)
-        got = FreeBlockInverse(g, 0.1, sigma, free).solve(r)
-        want = self.reference(g, data, 0.1, sigma, r)
+        shifts = shifts_of(g, 3, sigma)
+        got = FreeBlockInverse(g, 0.1, shifts, free).solve(r)
+        want = self.reference(g, data, 0.1, shifts, r)
         assert got.shape == r.shape and got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert np.all(got[:, g.pinned(data)] == 0.0)
@@ -381,15 +409,16 @@ class TestFreeBlockInverse:
     def test_inverts_per_species_sets(self, name, mode):
         # a refine's frozen partition that does not move in time: one
         # spatial set per species (``random_sets``) within the spatial
-        # nodes the mode leaves free
+        # nodes the mode leaves free, under per-species profiles
         g = self.SOLVE_GRIDS[name]
         data = BoundaryData.make(np.zeros((3,) + g.space_shape), mode)
         rng = np.random.default_rng(6)
         spatial = self.random_sets(g, rng) & free_mask(g, data)[-1]
         r = rng.normal(size=(3, g.nt) + g.space_shape)
         free = spatial[:, None] & free_mask(g, data)
-        got = FreeBlockInverse(g, 0.1, 2.5, free).solve(r)
-        want = self.reference(g, data, 0.1, 2.5, r, spatial)
+        shifts = shifts_of(g, 3, "varying")
+        got = FreeBlockInverse(g, 0.1, shifts, free).solve(r)
+        want = self.reference(g, data, 0.1, shifts, r, spatial)
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         # exactly 0 at the pins and outside each species' set
@@ -399,49 +428,53 @@ class TestFreeBlockInverse:
     @pytest.mark.parametrize("name", ["1d", "2d"])
     def test_out_buffer_and_quadratic(self, name):
         # solve writes into a given buffer, whatever it held; quadratic is
-        # d.(Q + 2 sigma mass)d for a d that is 0 at the pins
+        # sum_i d_i.(Q + 2 diag(mass sigma_i))d_i for a d that is 0 at the
+        # pins, under per-species profiles
         g = self.SOLVE_GRIDS[name]
         data = BoundaryData.make(np.zeros((2,) + g.space_shape),
                                  "dirichlet_and_initial")
         free = np.broadcast_to(free_mask(g, data), (2, g.nt) + g.space_shape)
-        inv = FreeBlockInverse(g, 0.2, 1.5, free)
+        shifts = shifts_of(g, 2, "varying")
+        inv = FreeBlockInverse(g, 0.2, shifts, free)
         r = np.random.default_rng(5).normal(size=(2, g.nt) + g.space_shape)
         out = np.full(r.shape, np.nan)
         assert inv.solve(r, out) is out
         np.testing.assert_array_equal(out, inv.solve(r))
         assert np.dot(out.ravel(), r.ravel()) > 0.0
-        P = (g.quadratic_operator(0.2)
-             + 3.0 * sp.diags_array(g.node_weights.ravel()))
-        want = sum(di @ (P @ di) for di in out.reshape(2, -1))
+        want = sum(di @ (self.operator(g, 0.2, shifts, i) @ di)
+                   for i, di in enumerate(out.reshape(2, -1)))
         assert inv.quadratic(out) == pytest.approx(want, rel=1e-12)
 
     @staticmethod
-    def one_slice_reference(g, sigma, r, free):
-        """spsolve of 2 (S + sigma M) restricted to each species' row of
-        ``free``: the stationary energy's quadratic part plus the shift."""
-        P = 2.0 * (g.dirichlet_stiffness
-                   + sigma * sp.diags_array(g.space_weights.ravel()))
-        P = P.tocsr()
-        out = np.zeros(r.shape)
-        for ri, oi, fi in zip(r, out, free):
+    def one_slice_reference(g, shifts, r, free):
+        """spsolve of 2 (S + diag(M sigma_i)) restricted to each species'
+        row of ``free``: the stationary energy's quadratic part plus the
+        shift; and the operators."""
+        out, Ps = np.zeros(r.shape), []
+        for i, (ri, oi, fi) in enumerate(zip(r, out, free)):
+            mass = g.space_weights * node_shift(shifts, i)
+            P = 2.0 * (g.dirichlet_stiffness + sp.diags_array(mass.ravel()))
+            Ps.append(P.tocsr())
             f = fi.ravel()
             if f.any():
-                oi.reshape(-1)[f] = spsolve(P[f][:, f].tocsc(),
+                oi.reshape(-1)[f] = spsolve(Ps[i][f][:, f].tocsc(),
                                             ri.reshape(-1)[f])
-        return out, P
+        return out, Ps
 
-    def check_one_slice(self, g, inv, sigma, free, seed):
+    def check_one_slice(self, g, sigma, free, seed):
+        shifts = shifts_of(g, len(free), sigma)
+        inv = FreeBlockInverse(g, 1.0, shifts, free)
         r = np.random.default_rng(seed).normal(size=free.shape)
         got = inv.solve(r)
-        want, P = self.one_slice_reference(g, sigma, r, free)
+        want, Ps = self.one_slice_reference(g, shifts, r, free)
         assert got.shape == r.shape and got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         # exactly 0 off each species' set, and d.Pd for such a d
         assert np.all(got[~free] == 0.0)
-        q = sum(di @ (P @ di) for di in got.reshape(len(got), -1))
+        q = sum(di @ (P @ di) for P, di in zip(Ps, got.reshape(len(got), -1)))
         assert inv.quadratic(got) == pytest.approx(q, rel=1e-12)
 
-    @pytest.mark.parametrize("sigma", [0.0, 2.5])
+    @pytest.mark.parametrize("sigma", [0.0, 2.5, "varying"])
     @pytest.mark.parametrize("name", ["1d", "2d"])
     def test_one_slice_default_set(self, name, sigma):
         # fields (k, *space), no time axis: the stationary oracle's set
@@ -449,10 +482,9 @@ class TestFreeBlockInverse:
         # is definite
         g = self.SOLVE_GRIDS[name]
         free = np.broadcast_to(~g.boundary_mask, (3,) + g.space_shape)
-        inv = FreeBlockInverse(g, 1.0, sigma, free)
-        self.check_one_slice(g, inv, sigma, free, 7)
+        self.check_one_slice(g, sigma, free, 7)
 
-    @pytest.mark.parametrize("sigma", [0.0, 2.5])
+    @pytest.mark.parametrize("sigma", [0.0, 2.5, "varying"])
     @pytest.mark.parametrize("name", ["1d", "2d"])
     def test_one_slice_per_species_sets(self, name, sigma):
         # the stationary oracle's sets: interior nodes within a support
@@ -460,8 +492,7 @@ class TestFreeBlockInverse:
         g = self.SOLVE_GRIDS[name]
         rng = np.random.default_rng(8)
         free = self.random_sets(g, rng) & ~g.boundary_mask
-        inv = FreeBlockInverse(g, 1.0, sigma, free)
-        self.check_one_slice(g, inv, sigma, free, 9)
+        self.check_one_slice(g, sigma, free, 9)
 
     def test_set_that_is_not_a_product_takes_the_mass_metric(self):
         # an L-shaped interior support shared by both species: no exact
@@ -494,7 +525,7 @@ class TestPerAxisModes:
     def test_eigenvalues_and_solve_equal_dense(self, interior, monkeypatch):
         g = self.GRID
         f = ~g.boundary_mask if interior else np.ones(g.space_shape, bool)
-        factors = g.free_modes(f[None])
+        factors = g.free_modes(f[None], 1.0, shifts_of(g, 1, 0.0))
         assert [lam.shape for _, lam in factors] == (
             [(1, 7), (1, 5)] if interior else [(1, 9), (1, 7)])
         lam = np.sort(np.add.outer(*[lam[0] for _, lam in factors]).ravel())
@@ -513,10 +544,13 @@ class TestPerAxisModes:
                                  else "initial_only")
         free = np.broadcast_to(free_mask(g, data), (2, g.nt) + g.space_shape)
         r = np.random.default_rng(11).normal(size=free.shape)
-        got = FreeBlockInverse(g, 0.1, 2.5, free).solve(r)
-        monkeypatch.setattr(g, "free_modes",
-                            lambda sets: [(V[None], dense[None])])
-        want = FreeBlockInverse(g, 0.1, 2.5, free).solve(r)
+        shifts = shifts_of(g, 2, 2.5)
+        got = FreeBlockInverse(g, 0.1, shifts, free).solve(r)
+        # the modes of 0.1 S_f + 2.5 M_f, one copy per species
+        monkeypatch.setattr(g, "free_modes", lambda sets, eps, shifts: [
+            (np.repeat(V[None], len(sets), axis=0),
+             np.repeat((eps * dense + 2.5)[None], len(sets), axis=0))])
+        want = FreeBlockInverse(g, 0.1, shifts, free).solve(r)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
     def test_no_dense_spatial_matrix_on_a_box(self):
@@ -533,7 +567,7 @@ class TestPerAxisModes:
         for free in (shared, halves):
             tracemalloc.start()
             try:
-                FreeBlockInverse(g, 0.2, 1.0, free).solve(r)
+                FreeBlockInverse(g, 0.2, shifts_of(g, 2, 1.0), free).solve(r)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
