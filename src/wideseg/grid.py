@@ -311,30 +311,29 @@ class SpaceTimeGrid:
             self._pinned[key] = mask
         return self._pinned[key]
 
-    def product_sides(self, f: np.ndarray) -> list | None:
+    def product_sides(self, f: np.ndarray) -> list:
         """The projections of the spatial set f (a boolean mask of the
-        spatial nodes, any shape) on the axes, when f is their outer
-        product, and None otherwise.  Every 1-D set is one."""
+        spatial nodes, any shape) on the axes.  Their outer product is the
+        product hull of f, the least product set that holds it, and f
+        itself when f is a product; every 1-D set is one."""
         f = np.reshape(f, self.space_shape)
-        sides = [f.any(axis=tuple(b for b in range(self.dim) if b != a))
-                 for a in range(self.dim)]
-        return (sides if np.array_equal(f, reduce(np.multiply.outer, sides))
-                else None)
+        return [f.any(axis=tuple(b for b in range(self.dim) if b != a))
+                for a in range(self.dim)]
 
     def free_modes(self, sets: np.ndarray, eps: float,
                    shifts: list) -> list:
         """The modes of P_f V_f = M_f V_f diag(lam), V_f^T M_f V_f = I, for
-        P = eps S + M diag(sigma) restricted to each spatial set f of the
-        stack ``sets`` (s, *space), every one a product (``product_sides``),
-        as one factor (V_a, lam_a) per axis: S the ``dirichlet_stiffness``,
-        M the spatial weights and sigma the sum sigma_x (+) sigma_y of the
-        per-axis profiles ``shifts`` (one (s, n_a) array per axis, one row
-        per set).  There P_f is the Kronecker sum of eps K_a + M_a
-        diag(sigma_a), K_a the ``axis_stiffness`` and M_a the
-        ``axis_weights``, restricted to each side, so the modes of f are
-        V_x (x) V_y with lam the sums lam_x + lam_y, C-ordered.  V_a (s,
-        n_a, m_a) and lam_a (s, m_a) stack the sets' modes, each padded
-        with zero columns (lam = 1) to the most any set has on that axis.
+        P = eps S + M diag(sigma) restricted to the product hull f (the
+        outer product of the ``product_sides``) of each spatial set of the
+        stack ``sets`` (s, *space), as one factor (V_a, lam_a) per axis: S
+        the ``dirichlet_stiffness``, M the spatial weights and sigma the sum
+        sigma_x (+) sigma_y of the per-axis profiles ``shifts`` (one (s,
+        n_a) array per axis, one row per set).  There P_f is the Kronecker
+        sum of eps K_a + M_a diag(sigma_a), K_a the ``axis_stiffness`` and
+        M_a the ``axis_weights``, restricted to each side, so the modes of f
+        are V_x (x) V_y with lam the sums lam_x + lam_y, C-ordered.  V_a (s,
+        n_a, m_a) and lam_a (s, m_a) stack the sets' modes, each padded with
+        zero columns (lam = 1) to the most any set has on that axis.
 
         One dense ``eigh`` per axis and set, of at most n_a nodes, so no
         dense matrix of the spatial nodes.
@@ -384,39 +383,51 @@ class SpaceTimeGrid:
 
 
 def free_rows(grid: SpaceTimeGrid, free: np.ndarray) -> tuple:
-    """(t0, F): ``free`` as (k, slices, n_space), one slice for (k, *space),
-    and t0, 1 when no species moves at the initial slice and 0 otherwise."""
+    """(t0, sets) of ``free``, (k, nt, *space) or one slice (k, *space): t0
+    is 1 when no species moves at the initial slice and 0 otherwise, and
+    row i of ``sets`` (k, n_space) the spatial nodes species i moves at
+    some slice t >= t0.  The outer product of a row's ``product_sides`` is
+    its spatial hull, the one place that hull is defined."""
     F = free.reshape(len(free), -1, grid.space_weights.size)
-    return int(not F[:, 0].any()), F
+    t0 = int(not F[:, 0].any())
+    return t0, F[:, t0:].any(axis=1)
 
 
 class FreeBlockInverse:
-    """Exact inverse of P = Q + 2 diag(node mass sigma_i) on the nodes
-    that ``free`` marks, for Q the ``quadratic_operator(eps)`` and sigma_i
-    >= 0 a shift profile of each species i that is constant in time: the
-    sum sigma_x (+) sigma_y of its per-axis profiles ``shifts``, one (k,
-    n_a) array per axis (``optimizer.penalty_shift``).
+    """The inverse of P = Q + 2 diag(node mass sigma_i) on the product hull
+    of the nodes that ``free`` marks, masked to them on both sides, for Q
+    the ``quadratic_operator(eps)`` and sigma_i >= 0 a shift profile of
+    each species i that is constant in time: the sum sigma_x (+) sigma_y of
+    its per-axis profiles ``shifts``, one (k, n_a) array per axis
+    (``optimizer.penalty_shift``).
 
-    ``free`` is a boolean mask in the field's shape that is a tensor
-    product for each species: species i moves (t >= t0) x f_i, t0 and the
-    spatial set f_i (its row at t0) from ``free_rows``, and f_i is itself
-    a product of one side per axis (``product_sides``).  On such a set
+    ``free`` is a boolean mask in the field's shape.  From ``free_rows``
+    come t0 and species i's spatial set f_i, the nodes it moves at some
+    slice t >= t0, and its hull H_i = (t >= t0) x the outer product of
+    f_i's sides (``product_sides``).  On H_i
 
-        P_i = 2 [K_f (x) M_f + C_f (x) (eps S_f + M_f diag(sigma_i))].
+        P_i = 2 [K_H (x) M_H + C_H (x) (eps S_H + M_H diag(sigma_i))].
 
     A (k, *space) mask (``free.ndim == grid.dim + 1``) is the one-slice
-    case: K = 0, C = 1, P_i = 2 (eps S_f + M_f diag(sigma_i)), M_f the
+    case: K = 0, C = 1, P_i = 2 (eps S_H + M_H diag(sigma_i)), M_H the
     weights, and Q the ``slice_operator(eps)``.
+
+    ``solve`` gives Pi P^-1 Pi r, Pi the mask ``free`` (shared, not
+    copied): a principal block of the hull's inverse, so symmetric positive
+    definite on the free set, which is all a scaled projected gradient
+    needs (Bonettini, Zanella & Zanni, Inverse Problems 25, 2009).  When
+    ``free`` is its own hull the mask changes no bit and the inverse is
+    exact.
 
     In the spatial modes V of ``free_modes``, whose eigenvalues lam hold
     eps and the shift, this is one tridiagonal matrix in time per mode,
-    2 [K_f + lam_m C_f]: the fast diagonalization method (Lynch, Rice &
+    2 [K_H + lam_m C_H]: the fast diagonalization method (Lynch, Rice &
     Thomas, Numer. Math. 6, 1964).  The modes differ per species, so the
     systems of all species stack, species after species, into one block
     tridiagonal system in mode-major order, factored once (LAPACK
     ``dpttrf``; each is symmetric positive definite), the modes separated
     by zero off-diagonals.  The modes come as one factor per axis, applied
-    to each time slice one axis at a time.
+    to each time slice one axis at a time.  At least one node must move.
     """
 
     def __init__(self, grid: SpaceTimeGrid, eps: float, shifts: list,
@@ -427,11 +438,11 @@ class FreeBlockInverse:
         else:
             (k_diag, k_off), c = grid.time_stiffness, grid.node_time_weights
             self._Q = grid.quadratic_operator(eps)
-        t0, F = free_rows(grid, free)
-        self.t0, self._c = t0, c
+        t0, sets = free_rows(grid, free)
+        self.t0, self._c, self._mask = t0, c, free
         # the shift times the spatial weight at each node, (k, n_space)
         self._shift_mass = _outer_sum(shifts) * grid.space_weights.ravel()
-        factors = grid.free_modes(F[:, t0], eps, shifts)
+        factors = grid.free_modes(sets, eps, shifts)
         self._Vt = [np.swapaxes(V, -1, -2) for V, _ in factors]
         self._shape = tuple(Vt.shape[-1] for Vt in self._Vt)
         lam = _outer_sum([lam for _, lam in factors]).ravel()
@@ -448,15 +459,17 @@ class FreeBlockInverse:
         if info != 0:
             raise np.linalg.LinAlgError(f"dpttrf failed with info {info}")
         # the shape of the modal coefficients, mode-major
-        self._modal = (len(F), math.prod(Vt.shape[-2] for Vt in self._Vt),
+        self._modal = (len(sets), math.prod(Vt.shape[-2] for Vt in self._Vt),
                        len(c) - t0)
 
     def solve(self, r: np.ndarray, out: np.ndarray | None = None):
         """P^-1 r on the free set and 0 elsewhere, for r in the shape of
-        the mask; ``out``, when given, must be C-contiguous."""
+        the mask; ``out``, when given, must be C-contiguous.  The mask is
+        applied to r in ``out`` and to the result there, allocating none."""
         k, nt, t0 = len(r), len(self._c), self.t0
         if out is None:
             out = np.empty(r.shape)
+        r = np.multiply(r, self._mask, out=out)
         # to the modes, one factor at a time from the last: each product
         # contracts the trailing spatial axis and puts its modes first, so
         # the first factor's leaves the coefficients mode-major, time last,
@@ -482,10 +495,13 @@ class FreeBlockInverse:
         np.matmul(Z.reshape(O[:, t0:].shape[:-1] + (-1,)),
                   last[(slice(None),) + (None,) * len(head)], out=O[:, t0:])
         O[:, :t0] = 0.0
+        np.multiply(out, self._mask, out=out)
         return out
 
     def quadratic(self, d: np.ndarray) -> float:
-        """d . P d for a field d that is 0 off the free set."""
+        """d . P d for a field d that is 0 off the free set, P that of the
+        hull: under a mask, a BB step's estimate of s.Ps, asked for only
+        after a trial the box clipped (``optimizer.projected_bb``)."""
         q = sum(float(np.dot(di, self._Q @ di))
                 for di in d.reshape(len(d), -1))
         dd = d.reshape(len(d), len(self._c), -1)

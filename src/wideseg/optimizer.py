@@ -3,36 +3,34 @@
 One loop serves every minimization.  A metric P, an object with
 ``solve(g, out)`` (P^-1 g) and ``quadratic(d)`` (d.Pd), sets the direction
 -P^-1 g and the inner product of the BB steps (Molina & Raydan, Numer.
-Algorithms 13, 1996).  One rule, ``exact_metric``, picks it from the mask
-of the nodes that move alone, with natural step 1 either way:
+Algorithms 13, 1996).  One rule, ``exact_metric``, builds it from the mask
+of the nodes that move, with natural step 1: ``grid.FreeBlockInverse``,
+the inverse of Q + 2 diag(mass sigma_i) on the mask's product hull, masked
+to the mask on both sides, which changes no bit where the mask is its own
+hull.  Q is the
+functional's kinetic and Dirichlet form and sigma_i a profile per species,
+constant in time, from the penalty curvature of the start
+(``penalty_shift``).  On the hull, (t >= t0) x the outer product of each
+species' spatial sides, Q plus the shift is a Kronecker sum, which the
+fast diagonalization method inverts exactly.  A principal block of an SPD
+inverse is SPD, so the masked inverse is a metric too.
 
-- Exactly where that mask is (t >= t0) x one product spatial set (the
-  outer product of its sides on the axes) for each species, the exact
-  inverse of Q + 2 diag(mass sigma_i) on it, ``grid.FreeBlockInverse``: Q
-  the functional's kinetic and Dirichlet form, sigma_i a profile per
-  species, constant in time, from the penalty curvature of the start
-  (``penalty_shift``).  Q plus such a shift is a Kronecker sum there, and
-  the fast diagonalization method inverts it exactly.  Every penalty rung
-  (no support) qualifies, so does a refine whose frozen partition is the
-  same at every time slice (every 1-D set is a product; s1's 2-D parts
-  are x-halves), and so does every stationary solve of
-  ``oracle.minimize_elliptic`` (the one-slice case, K = 0).  At the
-  penalty rungs' minimizers fewer than 0.1% of the free entries sit on a
-  bound, so a direction that knows the curvature pays: on the 1-D desk
-  ladder they take 7-11 iterations against 209-403 in the mass metric,
-  and the s1 stationary solves 1-11 against 162-319.  A refine (beta 0,
-  zero reactions) minimizes that quadratic form itself, and its
-  off-diagonals are <= 0, so its first step lands on the minimizer inside
-  the box: 1 iteration against 162-231 on s1.
-- ``InverseMass``, P = L diag(mass), on every other mask (a partition
-  that moves in time or a 2-D part that is not a product) and on an
-  empty one: the node quadrature mass scaled by the curvature bound L,
-  which turns the gradient into an O(1) residual density across the
-  exponentially weighted mesh.
+Every penalty rung is its own hull, and so is a refine or a stationary
+solve (``oracle.minimize_elliptic``, K = 0) on a product partition fixed
+in time (every 1-D set is a product).  At the penalty rungs' minimizers
+fewer than 0.1% of the free entries sit on a bound, so a direction that
+knows the curvature pays: on the 1-D desk ladder they take 7-11 iterations
+against 209-403 in the mass metric L diag(mass), and the s1 stationary
+solves 1-11 against 162-319.  A refine (beta 0, zero reactions) on its
+own hull minimizes that quadratic form itself, with off-diagonals <= 0, so
+its first step lands on the minimizer in the box: 1 iteration against
+162-231 on s1.  A refine on a partition that moves in time takes the
+masked inverse: 13 iterations against 68 in the mass metric on the
+``blocks2d.cfg`` refine at 15 x 15 nodes, 30 against 229 at 63 x 63.
 
 Convergence is always measured on g / mass, after removing components
-blocked by active box constraints, so ``grad_tol`` means the same in
-either metric.
+blocked by active box constraints, so ``grad_tol`` means the same
+whatever the metric.
 
 The first trial step of an iteration follows the adaptive Barzilai-Borwein
 rule ABBmin (Frassoldati, Zanghirati & Zanni, J. Ind. Manag. Optim. 4,
@@ -125,48 +123,16 @@ def _kkt_norm(x: np.ndarray, gh: np.ndarray,
     return float(max(hi, -lo)) + 0.0
 
 
-def _mass_dot(mass: np.ndarray, a: np.ndarray, b: np.ndarray) -> float:
-    """sum(mass * a * b) over 1-D arrays, in one reading pass that writes
-    no product array."""
-    return float(np.einsum("i,i,i->", mass, a, b))
-
-
-class InverseMass:
-    """The metric P = L diag(mass) of ``projected_bb``: step 1 along
-    P^-1 g is step 1/L along g / mass.  ``projected_bb``'s default, so
-    the metric of every free set that ``exact_metric`` turns down.
-
-    ``inv_mass`` is 1 / mass, and 0 where the mass is, so P^-1 g is 0 at
-    zero-mass entries.  It is the loop's own array, shared, not copied.
-    """
-
-    def __init__(self, mass: np.ndarray, inv_mass: np.ndarray,
-                 lipschitz: float):
-        self.mass, self.inv_mass = np.ravel(mass), inv_mass
-        self.lipschitz = lipschitz
-
-    def solve(self, g: np.ndarray, out: np.ndarray | None = None):
-        """P^-1 g, into ``out`` when given."""
-        out = np.multiply(g, self.inv_mass, out=out)
-        out *= 1.0 / self.lipschitz
-        return out
-
-    def quadratic(self, d: np.ndarray) -> float:
-        """d . P d."""
-        dd = np.ravel(d)
-        return self.lipschitz * _mass_dot(self.mass, dd, dd)
-
-
 #: round-off allowance on a difference of two full objective values, as a
 #: fraction of the objective.  On the 1-D (nx=63, nt=201, eps down to 0.05,
 #: at most 1200 iterations per rung) and 2-D (15 x 15, nt=101) desk
 #: ladders, under the ABBmin trial steps (along P^-1 g on the penalty
-#: rungs, g / mass on the refines, as measured before a refine on a
-#: partition fixed in time took P^-1 g too), that difference is off the
-#: cancellation-free change by at most 4.5e-16 |J| on the trials that
-#: consult ``change_fn``, and by at most 8.6e-16 |J| on any trial that
-#: changes J by less than 1e-6 |J|, so this leaves a margin of 12x-22x; a
-#: larger value only consults ``change_fn`` more often
+#: rungs, g / mass on the refines, as measured before every refine took
+#: P^-1 g too), that difference is off the cancellation-free change by at
+#: most 4.5e-16 |J| on the trials that consult ``change_fn``, and by at
+#: most 8.6e-16 |J| on any trial that changes J by less than 1e-6 |J|, so
+#: this leaves a margin of 12x-22x; a larger value only consults
+#: ``change_fn`` more often
 ROUNDOFF_RTOL = 1e-14
 
 #: ABBmin: the threshold on BB2 / BB1 at the start of every call, and how
@@ -184,20 +150,20 @@ ARMIJO = 1e-4
 
 
 def projected_bb(x0, value_fn, grad_fn, mass, cfg: OptimizerConfig,
-                 lipschitz: float, change_fn, precond=None):
+                 lipschitz: float, change_fn, precond):
     """Generic monotone projected-BB loop on the box [0, 1].
 
     value_fn(x) -> scalar, grad_fn(x) -> raw gradient, mass -> quadrature
     mass per entry (the inner product of the KKT residual), change_fn(x, d)
     -> value_fn(x + d) - value_fn(x) computed without cancellation.
     ``lipschitz`` is a curvature estimate L for the mass-preconditioned
-    gradient, used for the fallback step 1/L and the default metric.
+    gradient, used for the fallback step 1/L.
 
     The direction and the BB metric come from ``precond``: an object with
     ``solve(g, out)``, returning P^-1 g for a symmetric positive definite
-    P, and ``quadratic(d)``, returning d.P d (``grid.FreeBlockInverse``).
-    It defaults to ``InverseMass``, P = L diag(mass).  The natural step is
-    1: it is the first trial and the step after a pass with s.y <= 0.
+    P, and ``quadratic(d)``, returning d.P d (``grid.FreeBlockInverse``,
+    from ``exact_metric``).  The natural step is 1: it is the first trial
+    and the step after a pass with s.y <= 0.
 
     ``x0`` must lie in the box; it is copied, never written, and every
     callback gets C-contiguous arrays.  Every trial point is ``x - s * gh``
@@ -229,13 +195,17 @@ def projected_bb(x0, value_fn, grad_fn, mass, cfg: OptimizerConfig,
     ``grad_tol``).  ``iters`` is the index of the last loop pass, so a
     capped run reports ``max_iters - 1``.
     """
-    x = np.array(x0, dtype=float, order="C")
+    return _descend(np.array(x0, dtype=float, order="C"), value_fn, grad_fn,
+                    mass, cfg, lipschitz, change_fn, precond)
+
+
+def _descend(x, value_fn, grad_fn, mass, cfg, lipschitz, change_fn, precond):
+    """``projected_bb`` from ``x``, a C-ordered float start it owns and
+    writes: ``minimize`` hands over its start, so no copy sits beside it."""
     x_new = np.empty_like(x)      # trial point; KKT terms
     d = np.empty_like(x)          # trial step x_new - x
     inv_mass = np.divide(1.0, mass, out=np.zeros(x.shape), where=mass > 0)
-    if precond is None:
-        precond = InverseMass(mass, inv_mass, lipschitz)
-    # only InverseMass reads the mass from here on
+    # inv_mass is all the loop reads of the mass: free a caller's temporary
     del mass
 
     J = value_fn(x)
@@ -351,30 +321,31 @@ def penalty_shift(grid: SpaceTimeGrid, spec: SystemSpec, eps: float,
                   beta: float, x0: np.ndarray, free: np.ndarray) -> list:
     """The shift profiles sigma_i of a rung's preconditioner Q + 2
     diag(mass sigma_i), constant in time, as one (k, n_a) array per
-    spatial axis a (``grid.FreeBlockInverse``), for a ``free`` mask that
-    ``exact_metric`` accepts; all 0 at beta 0.
+    spatial axis a (``grid.FreeBlockInverse``), for a ``free`` mask with at
+    least one node set; all 0 at beta 0.
 
-    At each spatial node of species i's free set, p_i is the median over
-    the free slices (t >= t0, ``grid.free_rows``) of beta eps (A x0^2)_i,
-    half the penalty Hessian diagonal per unit mass at the start; in the
-    one-slice case it is that value itself.  It is large on the other
-    species' region and about 0 on species i's own.  The axis profiles
-    enter as the sum sigma_x (+) sigma_y, which keeps eps S + M diag(sigma)
-    a Kronecker sum: sigma_a is the median of p_i over the other axes,
-    less (1 - 1/dim) times the median of p_i over the whole set, and at
-    least 0, all medians over the free nodes.  In 1-D that is p_i itself;
-    in 2-D it is exact for a p_i that varies along x alone, wherever p_i is
-    at least half its median.  On the 1-D desk ladder rung (0.2, 1e4)
-    takes 11 iterations with it, 88 with one median over all free
-    entries and 241 without a shift."""
-    t0, F = gridmod.free_rows(grid, free)
-    shifts = [np.zeros((len(F), n)) for n, _ in grid.axes]
+    At each spatial node, p_i is the median over the slices t >= t0
+    (``grid.free_rows``) of beta eps (A x0^2)_i, half the penalty Hessian
+    diagonal per unit mass at the start; in the one-slice case it is that
+    value itself.  It is large on the other species' region and about 0 on
+    species i's own.  The axis profiles enter as the sum sigma_x (+)
+    sigma_y, which keeps eps S + M diag(sigma) a Kronecker sum: sigma_a is
+    the median of p_i over the other axes, less (1 - 1/dim) times the
+    median of p_i over the whole set, and at least 0, all medians over the
+    spatial hull of species i's set from ``grid.free_rows``.  In
+    1-D that is p_i itself; in 2-D it is exact for a p_i that varies along
+    x alone, wherever p_i is at least half its median.  On the 1-D desk
+    ladder rung (0.2, 1e4) takes 11 iterations with it, 88 with one median
+    over all free entries and 241 without a shift."""
+    t0, sets = gridmod.free_rows(grid, free)
+    shifts = [np.zeros((len(sets), n)) for n, _ in grid.axes]
     if beta == 0.0:
         return shifts
-    h = np.tensordot(spec.A, np.square(x0), axes=1).reshape(F.shape)
+    h = np.tensordot(spec.A, np.square(x0), axes=1).reshape(
+        len(sets), -1, sets.shape[1])
     p = np.median(h[:, t0:], axis=1, overwrite_input=True)
     p *= beta * eps
-    for i, f in enumerate(F[:, t0]):
+    for i, f in enumerate(sets):
         if not f.any():
             continue
         sides = grid.product_sides(f)
@@ -390,20 +361,19 @@ def penalty_shift(grid: SpaceTimeGrid, spec: SystemSpec, eps: float,
 def exact_metric(grid: SpaceTimeGrid, spec: SystemSpec, eps: float,
                  beta: float, x0: np.ndarray, free: np.ndarray):
     """The metric of a minimization from ``x0`` that moves the nodes
-    ``free`` marks, a (k, nt, *space) or one-slice (k, *space) mask: the
-    ``grid.FreeBlockInverse``, its shift profiles from ``penalty_shift``,
-    when each species moves one spatial set at every slice from
-    ``grid.free_rows``' t0 on (per-node counts tell, writing no field) and
-    that set is a product (``grid.product_sides``), and None, which leaves
-    ``projected_bb`` its ``InverseMass``, otherwise and for an empty set."""
-    t0, F = gridmod.free_rows(grid, free)
-    moves = F[:, t0:].sum(axis=1)
-    if not free.any() or not np.array_equal(
-            moves, (F.shape[1] - t0) * F[:, t0]) or any(
-            grid.product_sides(f) is None for f in F[:, t0]):
-        return None
+    ``free`` marks, a (k, nt, *space) or one-slice (k, *space) mask with at
+    least one node set: ``grid.FreeBlockInverse`` with the shift profiles
+    of ``penalty_shift``, masked to ``free``."""
     shifts = penalty_shift(grid, spec, eps, beta, x0, free)
     return gridmod.FreeBlockInverse(grid, eps, shifts, free)
+
+
+def unmoved(x0: np.ndarray, value_fn) -> tuple:
+    """What ``projected_bb`` gives from ``x0`` when no entry moves, with no
+    metric built: x0 itself, converged in 0 iterations."""
+    J = value_fn(x0)
+    return x0, {"J": J, "J_history": [J], "iters": 0, "pg_norm": 0.0,
+                "converged": True, "stop_reason": "converged"}
 
 
 def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
@@ -418,9 +388,10 @@ def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
     With ``support`` (a (k, nt, *space) boolean mask), nodes outside the
     mask are held at zero: this minimizes over fields with a prescribed
     segregated partition.  The mask of the nodes neither pinned nor
-    outside the support picks the metric (``exact_metric``); a refine on a
-    partition fixed in time, at beta 0 with zero reactions, lands on its
-    minimizer in one step.
+    outside the support sets the metric (``exact_metric``); a refine on a
+    product partition fixed in time, at beta 0 with zero reactions, lands
+    on its minimizer in one step.  When the mask is empty the start is the
+    result (``unmoved``).
     """
     cfg = config or OptimizerConfig()
     if isinstance(init, str):
@@ -429,7 +400,8 @@ def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
         init = competitor_field(data, grid, spec)
     free = np.broadcast_to(~grid.pinned(data),
                            (spec.k, grid.nt) + grid.space_shape)
-    x0 = np.clip(init.values, 0.0, 1.0)
+    x0 = np.array(init.values, dtype=float, order="C")
+    np.clip(x0, 0.0, 1.0, out=x0)
     if support is not None:
         free = free & support
         x0[~support] = 0.0
@@ -446,11 +418,14 @@ def minimize(spec: SystemSpec, data: BoundaryData, grid: SpaceTimeGrid,
 
     # the time stencil's 8 / dt^2 plus the spatial and penalty bounds
     L = curvature_bound(grid, spec, eps, beta, 8.0 / grid.dt**2)
-    precond = exact_metric(grid, spec, eps, beta, x0, free)
-    # the node mass, 0 where held, goes to the loop alone, which frees it
-    # once its metric is set
-    x, info = projected_bb(x0, value_fn, grad_fn, free * grid.node_weights,
+    if free.any():
+        precond = exact_metric(grid, spec, eps, beta, x0, free)
+        # the start and the node mass, 0 where held, go to the loop, which
+        # writes the start and frees the mass once it has its inverse
+        x, info = _descend(x0, value_fn, grad_fn, free * grid.node_weights,
                            cfg, L, change_fn, precond)
+    else:
+        x, info = unmoved(x0, value_fn)
     out_field = StateField(x, grid, spec)
     return OptimizeResult(
         field=out_field,

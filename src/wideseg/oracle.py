@@ -28,6 +28,7 @@ from .grid import SpaceTimeGrid, resample_in_time
 from .model import BoundaryData, SystemSpec
 from .optimizer import (
     OptimizerConfig, curvature_bound, exact_metric, minimize, projected_bb,
+    unmoved,
 )
 
 @dataclass
@@ -165,7 +166,8 @@ def minimize_elliptic(spec: SystemSpec, data: BoundaryData,
     given, are held at zero; the initial iterate is v0 itself.  The metric
     is ``optimizer.exact_metric`` of the (k, *space) mask of the nodes that
     move, the one-slice ``grid.FreeBlockInverse``: a zero-reaction refine
-    takes one step.
+    on a product support takes one step.  When no node moves the start is
+    the result (``optimizer.unmoved``).
     """
     cfg = config or OptimizerConfig()
     bmask = grid.boundary_mask
@@ -188,9 +190,12 @@ def minimize_elliptic(spec: SystemSpec, data: BoundaryData,
 
     L = curvature_bound(grid, spec, 1.0, beta)
     L += 2.0 * spec.slope_bound
-    precond = exact_metric(grid, spec, 1.0, beta, w0, free)
-    w, info = projected_bb(w0, value_fn, grad_fn, mass, cfg, L, change_fn,
-                           precond)
+    if free.any():
+        precond = exact_metric(grid, spec, 1.0, beta, w0, free)
+        w, info = projected_bb(w0, value_fn, grad_fn, mass, cfg, L,
+                               change_fn, precond)
+    else:
+        w, info = unmoved(w0, value_fn)
     return EllipticResult(
         w=w, energy=info["J"], iters=info["iters"],
         converged=info["converged"], pg_norm=info["pg_norm"],

@@ -372,6 +372,16 @@ class TestFreeBlockInverse:
                                                ri.reshape(-1)[free])
         return out
 
+    @staticmethod
+    def unmasked(inv, r):
+        """``inv.solve(r)`` with a mask of ones: the inverse on the hull
+        alone, unmasked."""
+        mask, inv._mask = inv._mask, True
+        try:
+            return inv.solve(r)
+        finally:
+            inv._mask = mask
+
     @pytest.mark.parametrize("sigma", [0.0, 2.5, "varying"])
     @pytest.mark.parametrize("mode", BC_MODES)
     @pytest.mark.parametrize("name", ["1d", "2d"])
@@ -383,11 +393,14 @@ class TestFreeBlockInverse:
         r = np.random.default_rng(4).normal(size=(3, g.nt) + g.space_shape)
         free = np.broadcast_to(free_mask(g, data), r.shape)
         shifts = shifts_of(g, 3, sigma)
-        got = FreeBlockInverse(g, 0.1, shifts, free).solve(r)
+        inv = FreeBlockInverse(g, 0.1, shifts, free)
+        got = inv.solve(r)
         want = self.reference(g, data, 0.1, shifts, r)
         assert got.shape == r.shape and got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         assert np.all(got[:, g.pinned(data)] == 0.0)
+        # the set is its own hull: the mask changes no bit
+        assert got.tobytes() == self.unmasked(inv, r).tobytes()
 
     @staticmethod
     def random_sets(g, rng):
@@ -417,13 +430,15 @@ class TestFreeBlockInverse:
         r = rng.normal(size=(3, g.nt) + g.space_shape)
         free = spatial[:, None] & free_mask(g, data)
         shifts = shifts_of(g, 3, "varying")
-        got = FreeBlockInverse(g, 0.1, shifts, free).solve(r)
+        inv = FreeBlockInverse(g, 0.1, shifts, free)
+        got = inv.solve(r)
         want = self.reference(g, data, 0.1, shifts, r, spatial)
         assert got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
         # exactly 0 at the pins and outside each species' set
         held = g.pinned(data) | ~spatial[:, None]
         assert np.all(got[held] == 0.0)
+        assert got.tobytes() == self.unmasked(inv, r).tobytes()
 
     @pytest.mark.parametrize("name", ["1d", "2d"])
     def test_out_buffer_and_quadratic(self, name):
@@ -469,8 +484,10 @@ class TestFreeBlockInverse:
         want, Ps = self.one_slice_reference(g, shifts, r, free)
         assert got.shape == r.shape and got.flags.c_contiguous
         assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
-        # exactly 0 off each species' set, and d.Pd for such a d
+        # exactly 0 off each species' set, bit-equal to the solve on the
+        # hull, which is the set, and d.Pd for such a d
         assert np.all(got[~free] == 0.0)
+        assert got.tobytes() == self.unmasked(inv, r).tobytes()
         q = sum(di @ (P @ di) for P, di in zip(Ps, got.reshape(len(got), -1)))
         assert inv.quadratic(got) == pytest.approx(q, rel=1e-12)
 
@@ -494,19 +511,60 @@ class TestFreeBlockInverse:
         free = self.random_sets(g, rng) & ~g.boundary_mask
         self.check_one_slice(g, sigma, free, 9)
 
-    def test_set_that_is_not_a_product_takes_the_mass_metric(self):
-        # an L-shaped interior support shared by both species: no exact
-        # inverse, and the stationary solve still converges in the mass
-        # metric
+    @staticmethod
+    def moving_sets(g, data):
+        """Two species' free sets that are not their own hulls, and the
+        spatial hulls.  In 1-D species 0 gains a node halfway in time and
+        species 1 keeps its nodes; in 2-D both move on one L-shaped set, at
+        every slice, whose hull is the interior."""
+        free = np.broadcast_to(free_mask(g, data),
+                               (2, g.nt) + g.space_shape).copy()
+        if g.dim == 1:
+            free[0, :g.nt // 2, 5:] = free[0, g.nt // 2:, 6:] = False
+            free[1, :, :6] = False
+        else:
+            free[:, :, 4:, 3:] = False
+        hull = np.stack([reduce(np.multiply.outer, g.product_sides(f))
+                         for f in free[:, 1:].any(axis=1)])
+        return free, hull
+
+    @pytest.mark.parametrize("name", ["1d", "2d"])
+    def test_masked_solve_is_a_block_of_the_hull_inverse(self, name):
+        # off its own hull the solve is Pi P^-1 Pi r, P that of the hull:
+        # 0 off the set, symmetric and positive on fields supported on it
+        g = self.SOLVE_GRIDS[name]
+        data = BoundaryData.make(np.zeros((2,) + g.space_shape),
+                                 "dirichlet_and_initial")
+        free, hull = self.moving_sets(g, data)
+        assert not np.array_equal(free[:, 1:], np.broadcast_to(
+            hull[:, None], free[:, 1:].shape))
+        shifts = shifts_of(g, 2, "varying")
+        inv = FreeBlockInverse(g, 0.1, shifts, free)
+        rng = np.random.default_rng(10)
+        r = rng.normal(size=free.shape)
+        got = inv.solve(r)
+        want = self.reference(g, data, 0.1, shifts, r * free, hull) * free
+        assert np.max(np.abs(got - want)) <= 1e-10 * np.max(np.abs(want))
+        assert np.all(got[~free] == 0.0)
+        for _ in range(4):
+            a, b = rng.normal(size=(2,) + free.shape) * free
+            ab, ba = np.vdot(a, inv.solve(b)), np.vdot(b, inv.solve(a))
+            assert abs(ab - ba) <= 1e-12 * np.vdot(a, inv.solve(a))
+            assert np.vdot(a, inv.solve(a)) > 0.0
+
+    def test_set_that_is_not_a_product_takes_the_masked_hull(self):
+        # an L-shaped interior support shared by both species: its hull is
+        # the interior, the metric masks it, and the stationary solve
+        # converges with the nodes off the set held at zero
         g = self.SOLVE_GRIDS["2d"]
         L = ~g.boundary_mask
         L[3:, 3:] = False
-        assert g.product_sides(L) is None
-        assert g.product_sides(~g.boundary_mask) is not None
+        np.testing.assert_array_equal(
+            reduce(np.multiply.outer, g.product_sides(L)), ~g.boundary_mask)
         spec = SystemSpec.make(2, [[0, 1], [1, 0]])
         support = np.broadcast_to(L, (2,) + g.space_shape)
         x0 = np.full(support.shape, 0.5)
-        assert exact_metric(g, spec, 1.0, 10.0, x0, support) is None
+        assert exact_metric(g, spec, 1.0, 10.0, x0, support)._mask is support
         data = BoundaryData.make(
             preset_v0("two_ramp", g.x_field(), 2), "dirichlet_and_initial")
         res = minimize_elliptic(spec, data, g, 10.0, support=support)
